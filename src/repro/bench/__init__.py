@@ -22,7 +22,6 @@ from repro.bench.ledger import (
     ledger_record,
     load_baselines,
     merge_baselines,
-    migrate_legacy_bench,
     read_ledger,
     write_baselines,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "load_baselines",
     "load_builtins",
     "merge_baselines",
-    "migrate_legacy_bench",
     "read_ledger",
     "register_benchmark",
     "write_baselines",

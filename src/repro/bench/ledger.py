@@ -18,17 +18,12 @@ ledger fixes all three:
 - **The gate** — :func:`check_records` compares a run against the
   baselines and reports per-metric regressions beyond a relative
   threshold; ``repro bench --check`` turns that into a nonzero exit.
-
-:func:`migrate_legacy_bench` converts the PR 4/PR 5 seed files
-(``BENCH_batch_pricing.json`` / ``BENCH_fleet_missions.json``) into
-ledger records so the history starts at the seed, not at this PR.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,7 +45,6 @@ __all__ = [
     "ledger_record",
     "load_baselines",
     "merge_baselines",
-    "migrate_legacy_bench",
     "read_ledger",
     "write_baselines",
 ]
@@ -296,57 +290,3 @@ def check_monotone(records: Sequence[Mapping[str, Any]],
                     violated=value < tolerance * prev_value,
                 ))
     return checks
-
-
-# -- legacy migration --------------------------------------------------
-
-#: Legacy BENCH_*.json row keys that encode the workload size.
-_LEGACY_SIZE_KEYS = ("candidates", "rollouts", "size")
-
-
-def migrate_legacy_bench(path: str) -> List[Dict[str, Any]]:
-    """Convert a PR 4/PR 5 ``BENCH_*.json`` snapshot to ledger records.
-
-    The legacy shape is ``{"benchmark": ..., "rows": [{<size key>: n,
-    metric: value, ...}, ...]}`` with the size keyed ``candidates``
-    (batch pricing) or ``rollouts`` (fleet missions).  Wall time and
-    per-row provenance were not recorded at the seed; the migrated
-    records carry ``migrated_from`` instead and a current-checkout
-    provenance stamp so the ledger's first entries are honest about
-    their origin.
-    """
-    with open(path) as handle:
-        document = json.load(handle)
-    name = document.get("benchmark")
-    rows = document.get("rows")
-    if not isinstance(name, str) or not isinstance(rows, list):
-        raise BenchmarkError(
-            f"{path}: not a legacy BENCH file (need 'benchmark' and"
-            f" 'rows')")
-    records = []
-    for row in rows:
-        size = None
-        for key in _LEGACY_SIZE_KEYS:
-            if key in row:
-                size = int(row[key])
-                break
-        if size is None:
-            raise BenchmarkError(
-                f"{path}: row {row!r} has no size key"
-                f" (one of {_LEGACY_SIZE_KEYS})")
-        metrics = {key: value for key, value in row.items()
-                   if key not in _LEGACY_SIZE_KEYS}
-        record = {
-            "schema": LEDGER_SCHEMA,
-            "benchmark": name,
-            "size": size,
-            "metrics": metrics,
-            "wall_time_s": None,
-            "peak_rss_kb": None,
-            "migrated_from": os.path.basename(path),
-            "migrated_unix_time": time.time(),
-            "provenance": run_provenance(
-                config={"migrated_from": os.path.basename(path)}),
-        }
-        records.append(record)
-    return records

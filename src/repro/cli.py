@@ -269,7 +269,7 @@ def _cmd_mission(args: argparse.Namespace) -> int:
 
 
 def _run_fleet(config, tiers, trials=64, seed=0, jobs=1,
-               perturbation=None, chunk_size=None, transport="auto",
+               perturbation=None, chunk_size=None,
                json_path=None, trace_out=None,
                profile_out=None, command_config=None) -> int:
     """Shared fleet execution path (see :func:`_run_suite`)."""
@@ -323,7 +323,7 @@ def _run_fleet(config, tiers, trials=64, seed=0, jobs=1,
         if profiler is not None:
             meter = stack.enter_context(measure_allocations())
         result = study.run(jobs=jobs, metrics=metrics,
-                           chunk_size=chunk_size, transport=transport)
+                           chunk_size=chunk_size)
     print(format_table(
         ["tier", "success", "time p50 (s)", "time p99 (s)",
          "energy p50 (kJ)", "failures"],
@@ -346,7 +346,7 @@ def _run_fleet(config, tiers, trials=64, seed=0, jobs=1,
         seed=seed,
         config={**(command_config or {}), "trials": trials,
                 "jobs": jobs, "chunk_size": chunk_size,
-                "transport": transport, "laps": config.laps},
+                "laps": config.laps},
     )
     if json_path:
         write_metrics_json(
@@ -422,7 +422,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return _run_fleet(config, uav_compute_tiers(), trials=args.trials,
                       seed=args.seed, jobs=args.jobs,
                       chunk_size=args.chunk_size,
-                      transport=args.transport,
                       json_path=args.json, trace_out=args.trace_out,
                       profile_out=args.profile_out,
                       command_config={"command": "fleet",
@@ -1002,35 +1001,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         load_baselines,
         load_builtins,
         merge_baselines,
-        migrate_legacy_bench,
         write_baselines,
     )
     from repro.errors import BenchmarkError
 
     load_builtins()
-
-    if args.migrate:
-        records = []
-        try:
-            for path in args.migrate:
-                converted = migrate_legacy_bench(path)
-                print(f"migrated {len(converted)} record(s)"
-                      f" from {path}")
-                records.extend(converted)
-        except (OSError, BenchmarkError) as error:
-            print(error, file=sys.stderr)
-            return 2
-        if not args.no_ledger:
-            count = append_records(args.ledger, records)
-            print(f"appended {count} record(s) to {args.ledger}")
-        if args.update_baselines:
-            document = merge_baselines(
-                args.baselines,
-                baselines_from_records(records, source="migrated"))
-            write_baselines(args.baselines, document)
-            print(f"wrote {len(document['entries'])} baseline(s)"
-                  f" to {args.baselines}")
-        return 0
 
     selected = REGISTRY.select(args.filter)
     if not selected:
@@ -1303,12 +1278,6 @@ def build_parser() -> argparse.ArgumentParser:
                             " arena window of this many at a time"
                             " (bounds the peak working set; results"
                             " are identical)")
-    fleet.add_argument("--transport", default="auto",
-                       choices=["auto", "shm", "pickle"],
-                       help="shard transport for --jobs > 1: 'shm'"
-                            " ships columns through shared memory"
-                            " (zero-copy), 'pickle' serializes rollout"
-                            " objects, 'auto' probes for shm support")
     fleet.add_argument("--json", help="also write per-tier statistics"
                                       " + metrics as JSON")
     fleet.add_argument("--trace-out", help="write a Chrome trace of"
@@ -1365,9 +1334,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--update-baselines", action="store_true",
                        help="merge this run's results into the"
                             " baselines file")
-    bench.add_argument("--migrate", nargs="+", metavar="FILE",
-                       help="convert legacy BENCH_*.json snapshots"
-                            " into ledger records and exit")
     bench.add_argument("--seed", type=int, default=None,
                        help="seed recorded in run provenance")
 

@@ -91,10 +91,6 @@ def record(history: List[Tuple[Config, float]], trace: List[float],
                        track="dse")
 
 
-#: Deprecated alias kept for backward compatibility; use :func:`record`.
-_record = record
-
-
 class ConfigStrategy(SearchStrategy):
     """Shared ask/tell bookkeeping for single-objective config searches.
 

@@ -16,9 +16,7 @@ optimization loops can be audited).  This package is that boundary:
   pricing with deterministic per-candidate seeding, serial or via a
   process pool, bit-identical either way;
 - :mod:`~repro.engine.protocol`    — the ask/tell
-  :class:`SearchStrategy` protocol and the :func:`run_search` driver;
-- :mod:`~repro.engine.shm`         — zero-copy shared-memory column
-  transport for multi-process shards.
+  :class:`SearchStrategy` protocol and the :func:`run_search` driver.
 
 Consumers: every :mod:`repro.dse` strategy and
 :class:`repro.benchmarksuite.runner.SuiteRunner`.

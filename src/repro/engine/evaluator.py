@@ -214,10 +214,9 @@ class Evaluator:
 
         The key is the candidate's content fingerprint, so the seed is
         independent of batch composition, evaluation order, chunking,
-        process-pool sharding, and transport — the same candidate gets
-        the same seed whether it is priced serially, in a pickled pool
-        shard, or through the shared-memory column transport.  That
-        invariance is what makes parallel and chunked runs reproduce
+        and process-pool sharding — the same candidate gets the same
+        seed whether it is priced serially, in a chunk, or in a pool
+        shard.  That invariance is what makes parallel and chunked runs reproduce
         serial ones exactly (enforced by
         ``tests/engine/test_evaluator.py``).
         """

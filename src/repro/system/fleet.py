@@ -50,9 +50,10 @@ through explicit ``out=`` ufunc calls into a
 operations, same association order, so the equivalence contract is
 untouched while steady-state sweeps stop allocating.  ``chunk_size``
 streams arbitrarily large populations through a fixed-size arena
-window, and ``jobs > 1`` ships candidate/result columns through
-:mod:`repro.engine.shm` shared-memory views instead of pickling row
-objects (``transport="pickle"`` forces the legacy path).
+window.  ``jobs > 1`` sends each worker only its shard spec (config,
+tiers, a slice of the factor matrix) and takes back plain result
+columns, which the parent concatenates and emits once — no row objects
+cross the process boundary in either direction.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.arena import BatchArena, Workspace
-from repro.engine.shm import ColumnBlock, shm_available
 from repro.errors import ConfigurationError
 from repro.hw.batch import (
     PlatformSoA,
@@ -293,21 +293,13 @@ def _first_count(unit: np.ndarray, target: np.ndarray,
 
 # -- the engine --------------------------------------------------------
 
-#: Result-column order shared by the emit step and the shared-memory
-#: transport (both sides of a :class:`~repro.engine.shm.ColumnBlock`
-#: must agree on the layout).
+#: Result-column order of :func:`_solve_fleet`'s output and the row
+#: order :func:`_emit_results` unpacks.
 _RESULT_COLUMNS: Tuple[str, ...] = (
     "succeeded", "timed_out", "elapsed", "distance", "energy",
     "mean_speed", "safe_speed", "latency", "compute_power",
     "hover_power", "total_mass", "endurance",
 )
-_BOOL_COLUMNS = ("succeeded", "timed_out")
-
-
-def _result_specs(n: int) -> List[Tuple[str, object, Tuple[int, ...]]]:
-    """Shared-memory column layout for ``n`` rollout results."""
-    return [(name, np.bool_ if name in _BOOL_COLUMNS else np.float64,
-             (n,)) for name in _RESULT_COLUMNS]
 
 
 def run_fleet(rollouts: Sequence[FleetRollout], *,
@@ -336,10 +328,10 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
             columns live in the arena.
         chunk_size: Evaluate the population through a fixed-size arena
             window of at most this many rollouts per pass, bounding the
-            peak working set to ``O(chunk_size)`` instead of ``O(n)``.
-            Results are identical (rollouts are independent; chunking
-            changes only where columns land).  A private arena and
-            course cache are created if none were passed.
+            engine's working set to ``O(chunk_size)`` instead of
+            ``O(n)``.  Results are identical (rollouts are independent;
+            chunking changes only where columns land).  A private arena
+            and course cache are created if none were passed.
 
     Returns:
         A :class:`FleetResult` whose per-rollout results are exactly
@@ -349,9 +341,8 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(
             f"chunk_size must be >= 1, got {chunk_size}")
-    tracer = get_tracer()
     chunks = 0
-    with tracer.wall_span("fleet.run", track="fleet") as span:
+    with get_tracer().wall_span("fleet.run", track="fleet") as span:
         if chunk_size is None or chunk_size >= len(rollouts):
             result = _run_fleet(rollouts, course_cache, arena)
         else:
@@ -359,42 +350,39 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
                 arena = BatchArena()
             if course_cache is None:
                 course_cache = {}
-            results: List[MissionResult] = []
-            batch_priced = scalar_fallback = alloc_bytes = 0
-            for lo in range(0, len(rollouts), chunk_size):
-                part = _run_fleet(rollouts[lo:lo + chunk_size],
-                                  course_cache, arena)
-                results.extend(part.results)
-                batch_priced += part.batch_priced
-                scalar_fallback += part.scalar_fallback
-                alloc_bytes += part.alloc_bytes
-                chunks += 1
-            result = FleetResult(
-                rollouts=rollouts, results=tuple(results),
-                batch_priced=batch_priced,
-                scalar_fallback=scalar_fallback,
-                alloc_bytes=alloc_bytes)
-    if tracer.enabled and span.args is None:
-        span.args = {"rollouts": len(rollouts),
+            chunks = -(-len(rollouts) // chunk_size)
+            result = _emit_fleet(rollouts, *_solve_windows(
+                rollouts, chunk_size, course_cache, arena))
+    _publish(result, span, metrics,
+             **({"chunks": chunks} if chunks else {}))
+    if chunks and metrics is not None:
+        metrics.counter("fleet.chunks").inc(chunks)
+        metrics.counter("fleet.arena_occupancy_pct").inc(
+            int(100 * arena.occupancy()))
+    return result
+
+
+def _publish(result: FleetResult, span,
+             metrics: Optional[MetricsRegistry],
+             **span_args: int) -> None:
+    """Stamp a ``fleet.run`` span and publish the ``fleet.*`` counters.
+
+    The one publication path for serial, chunked, and sharded runs, so
+    every caller reports the same names for the same totals.
+    """
+    if get_tracer().enabled and span.args is None:
+        span.args = {"rollouts": len(result),
                      "batch_priced": result.batch_priced,
                      "scalar_fallback": result.scalar_fallback,
-                     "alloc_bytes": result.alloc_bytes}
-        if chunks:
-            span.args["chunks"] = chunks
-    if metrics is not None:
-        metrics.counter("fleet.rollouts").inc(len(rollouts))
-        if result.batch_priced:
-            metrics.counter("fleet.batch_hits").inc(result.batch_priced)
-        if result.scalar_fallback:
-            metrics.counter("fleet.batch_fallbacks").inc(
-                result.scalar_fallback)
-        if result.alloc_bytes:
-            metrics.counter("fleet.alloc_bytes").inc(result.alloc_bytes)
-        if chunks:
-            metrics.counter("fleet.chunks").inc(chunks)
-            metrics.counter("fleet.arena_occupancy_pct").inc(
-                int(100 * arena.occupancy()))
-    return result
+                     "alloc_bytes": result.alloc_bytes, **span_args}
+    if metrics is None:
+        return
+    metrics.counter("fleet.rollouts").inc(len(result))
+    for name, value in (("fleet.batch_hits", result.batch_priced),
+                        ("fleet.batch_fallbacks", result.scalar_fallback),
+                        ("fleet.alloc_bytes", result.alloc_bytes)):
+        if value:
+            metrics.counter(name).inc(value)
 
 
 def _run_fleet(rollouts: Tuple[FleetRollout, ...],
@@ -403,10 +391,15 @@ def _run_fleet(rollouts: Tuple[FleetRollout, ...],
     if not rollouts:
         return FleetResult(rollouts=(), results=(), batch_priced=0,
                            scalar_fallback=0)
-    columns, batch_priced, scalar_fallback, alloc_bytes = _solve_fleet(
-        rollouts, course_cache, arena)
-    tracer = get_tracer()
-    with tracer.profile_span("fleet.emit", track="fleet"):
+    return _emit_fleet(rollouts, *_solve_fleet(rollouts, course_cache,
+                                               arena))
+
+
+def _emit_fleet(rollouts: Tuple[FleetRollout, ...],
+                columns: Dict[str, np.ndarray], batch_priced: int,
+                scalar_fallback: int, alloc_bytes: int) -> FleetResult:
+    """Wrap solved columns and their counts as a :class:`FleetResult`."""
+    with get_tracer().profile_span("fleet.emit", track="fleet"):
         results = _emit_results(columns)
     return FleetResult(rollouts=rollouts, results=results,
                        batch_priced=batch_priced,
@@ -424,7 +417,7 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...],
     where ``columns`` maps each :data:`_RESULT_COLUMNS` name to its
     ``(n,)`` array.  With an arena the columns are **borrowed** views —
     valid until the next kernel call on the same arena — so callers
-    must emit (or copy into shared memory) before re-entering.
+    must emit (or copy, see :func:`_solve_windows`) before re-entering.
 
     Every solve-phase ufunc writes through ``out=`` in the scalar
     association order; the arena changes where the bytes land, never
@@ -643,9 +636,7 @@ def _emit_results(columns: Dict[str, np.ndarray]
     """Materialize result columns as :class:`MissionResult` rows.
 
     Bulk-converts columns to Python scalars first (tolist is one C
-    pass; 12 per-element float() calls per rollout are not).  Bool
-    columns may arrive as float 0/1 from a shared-memory round trip;
-    ``bool()`` restores the exact Python values either way.
+    pass; 12 per-element float() calls per rollout are not).
     """
     rows = zip(*(columns[name].tolist() for name in _RESULT_COLUMNS))
     results = []
@@ -670,61 +661,50 @@ def _emit_results(columns: Dict[str, np.ndarray]
     return tuple(results)
 
 
-def _run_fleet_chunk(task: Tuple[Sequence[FleetRollout], Optional[int]]
-                     ) -> Tuple[Tuple[MissionResult, ...], int, int, int]:
-    """Pickle-transport pool-worker entry point (module-level for
-    picklability).  ``task`` is ``(rollouts, chunk_size)``."""
-    rollouts, chunk_size = task
-    result = run_fleet(rollouts, chunk_size=chunk_size)
-    return (result.results, result.batch_priced,
-            result.scalar_fallback, result.alloc_bytes)
+def _solve_windows(rollouts: Tuple[FleetRollout, ...], chunk_size: int,
+                   course_cache: Dict, arena: BatchArena,
+                   ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
+    """:func:`_solve_fleet` through ``chunk_size``-rollout arena windows.
 
-
-def _run_fleet_shard_shm(
-    task: Tuple[MissionConfig, Tuple[Tier, ...], int, int, str, str,
-                int, int, Optional[int]],
-) -> Tuple[int, int, int]:
-    """Shared-memory pool-worker entry point.
-
-    Receives only the *spec* of its shard — base config, tiers, a trial
-    range, and two segment names — rebuilds its rollouts from the
-    factor columns (bit-identical: the factor bytes are mapped, not
-    re-encoded), solves with a private arena, and writes result columns
-    straight into the parent's result segment at the shard's global row
-    offsets.  No row objects cross the process boundary in either
-    direction.
+    Each window's borrowed arena columns are copied into owned
+    ``(n,)`` result columns before the next window reuses the arena,
+    so the return value has :func:`_solve_fleet`'s shape but outlives
+    the arena.  Counts and byte totals are summed over the windows.
     """
-    (config, tiers, trial_lo, trial_hi, factors_name, results_name,
-     trials, n_tiers, chunk_size) = task
-    factors_block = ColumnBlock.attach(
-        factors_name, [("factors", np.float64, (trials, 4))])
-    results_block = ColumnBlock.attach(
-        results_name, _result_specs(trials * n_tiers))
-    try:
-        factors = factors_block.column("factors")
-        shard = _perturbed_population(config, tiers, factors,
-                                      trial_lo, trial_hi)
-        del factors  # release the segment view before the finally close
-        arena = BatchArena()
-        course_cache: Dict = {}
-        step = chunk_size if chunk_size else max(len(shard), 1)
-        offset = trial_lo * n_tiers
-        batch_priced = scalar_fallback = alloc_bytes = 0
-        for lo in range(0, len(shard), step):
-            chunk = tuple(shard[lo:lo + step])
-            columns, priced, fell_back, chunk_bytes = _solve_fleet(
-                chunk, course_cache, arena)
-            hi = offset + len(chunk)
-            for name in _RESULT_COLUMNS:
-                results_block.column(name)[offset:hi] = columns[name]
-            offset = hi
-            batch_priced += priced
-            scalar_fallback += fell_back
-            alloc_bytes += chunk_bytes
-        return batch_priced, scalar_fallback, alloc_bytes
-    finally:
-        factors_block.close()
-        results_block.close()
+    n = len(rollouts)
+    out: Dict[str, np.ndarray] = {}
+    batch_priced = scalar_fallback = alloc_bytes = 0
+    for lo in range(0, n, chunk_size):
+        columns, priced, fell_back, nbytes = _solve_fleet(
+            rollouts[lo:lo + chunk_size], course_cache, arena)
+        for name in _RESULT_COLUMNS:
+            column = columns[name]
+            if name not in out:
+                out[name] = np.empty(n, dtype=column.dtype)
+            out[name][lo:lo + len(column)] = column
+        batch_priced += priced
+        scalar_fallback += fell_back
+        alloc_bytes += nbytes
+    return out, batch_priced, scalar_fallback, alloc_bytes
+
+
+def _run_shard(task: Tuple[MissionConfig, Tuple[Tier, ...], np.ndarray,
+                           Optional[int]],
+               ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
+    """Process-pool entry point for one contiguous trial range.
+
+    ``task`` is ``(config, tiers, factors, chunk_size)`` — the shard's
+    *spec*, with ``factors`` the shard's rows of the study's factor
+    matrix.  The worker rebuilds its rollouts exactly as the parent's
+    :meth:`FleetStudy.rollouts` would, solves them with a private arena,
+    and returns plain result columns plus counts; no row objects cross
+    the process boundary in either direction.
+    """
+    config, tiers, factors, chunk_size = task
+    shard = tuple(_perturbed_population(config, tiers, factors,
+                                        0, len(factors)))
+    return _solve_windows(shard, chunk_size or len(shard), {},
+                          BatchArena())
 
 
 # -- Monte Carlo layer -------------------------------------------------
@@ -737,8 +717,8 @@ def _perturbed_population(config: MissionConfig,
     """Rollouts for trials ``[trial_lo, trial_hi)``, trial-major.
 
     The single construction path for study populations — the parent's
-    :meth:`FleetStudy.rollouts` and the shared-memory shard workers
-    both call it, so a shard rebuilt from mapped factor bytes is
+    :meth:`FleetStudy.rollouts` and the pool's shard workers both call
+    it, so a shard rebuilt from its slice of the factor matrix is
     bit-identical to the parent's slice of the full population.
     """
     population: List[FleetRollout] = []
@@ -909,59 +889,30 @@ class FleetStudy:
 
     def run(self, *, jobs: int = 1,
             metrics: Optional[MetricsRegistry] = None,
-            chunk_size: Optional[int] = None,
-            transport: str = "auto") -> FleetStudyResult:
+            chunk_size: Optional[int] = None) -> FleetStudyResult:
         """Evaluate the study population and summarize per tier.
 
         Args:
-            jobs: Process-pool width.  ``jobs > 1`` shards the
-                population; shards are independent, so results are
-                identical to the serial run (each shard re-plans the
-                shared course once — planning, not simulation, is the
-                only duplicated work).
+            jobs: Process-pool width.  ``jobs > 1`` splits the trials
+                into ``min(jobs, trials)`` contiguous shards; shards are
+                independent, so results are identical to the serial run
+                (each shard re-plans the shared course once — planning,
+                not simulation, is the only duplicated work).
             metrics: Optional registry for the ``fleet.*`` counters.
             chunk_size: Stream the population (or each shard) through a
                 fixed-size arena window of at most this many rollouts,
                 bounding the peak working set; results are identical.
-            transport: How ``jobs > 1`` ships data: ``"shm"`` maps
-                candidate/result columns through shared memory
-                (zero-copy, no row pickling), ``"pickle"`` ships row
-                objects through the pool, ``"auto"`` (default) uses
-                shared memory when the platform supports it.  Results
-                are byte-identical across transports.
         """
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {chunk_size}")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ConfigurationError(
-                f"transport must be auto|shm|pickle, got {transport!r}")
-        population = self.rollouts()
-        if jobs == 1 or len(population) <= jobs:
-            fleet = run_fleet(population, metrics=metrics,
+        if min(jobs, self.trials) == 1:
+            fleet = run_fleet(self.rollouts(), metrics=metrics,
                               chunk_size=chunk_size)
         else:
-            use_shm = (transport == "shm"
-                       or (transport == "auto" and shm_available()))
-            if use_shm:
-                fleet = self._run_parallel_shm(population, jobs,
-                                               chunk_size)
-            else:
-                fleet = self._run_parallel_pickle(population, jobs,
-                                                  chunk_size)
-            if metrics is not None:
-                metrics.counter("fleet.rollouts").inc(len(population))
-                if fleet.batch_priced:
-                    metrics.counter("fleet.batch_hits").inc(
-                        fleet.batch_priced)
-                if fleet.scalar_fallback:
-                    metrics.counter("fleet.batch_fallbacks").inc(
-                        fleet.scalar_fallback)
-                if fleet.alloc_bytes:
-                    metrics.counter("fleet.alloc_bytes").inc(
-                        fleet.alloc_bytes)
+            fleet = self._run_sharded(jobs, chunk_size, metrics)
         return FleetStudyResult(
             statistics=tuple(self._summarize(fleet)),
             fleet=fleet,
@@ -969,111 +920,38 @@ class FleetStudy:
             seed=self.seed,
         )
 
-    def _run_parallel_pickle(self, population: List[FleetRollout],
-                             jobs: int, chunk_size: Optional[int]
-                             ) -> FleetResult:
-        """Row-object transport: interleaved shards through the pool.
+    def _run_sharded(self, jobs: int, chunk_size: Optional[int],
+                     metrics: Optional[MetricsRegistry]) -> FleetResult:
+        """Solve contiguous trial ranges in a process pool.
 
-        The legacy path (and the fallback where shared memory is
-        unavailable): every rollout is pickled out, every MissionResult
-        pickled back.  Bit-identical to serial and to the shm path.
+        Each task carries only its shard spec (see :func:`_run_shard`)
+        and comes back as result columns; the parent concatenates them
+        in shard order and emits once.  Bit-identical to serial: same
+        factor bytes, same solve, same emit.  The tasks are submitted
+        before the parent builds its own copy of the population (which
+        :class:`FleetResult` carries), so the workers start from a small
+        parent heap and that build overlaps their solves.
         """
-        # Pool workers run run_fleet in their own processes, where
-        # no tracer is installed — span the fan-out from the parent
-        # so --trace-out still sees the run.
-        tracer = get_tracer()
-        shards = [(population[i::jobs], chunk_size)
-                  for i in range(jobs)]
-        with tracer.wall_span("fleet.run", track="fleet") as span:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_run_fleet_chunk, shards))
-        results: List[Optional[MissionResult]] = [None] * len(
-            population)
-        batch_priced = 0
-        scalar_fallback = 0
-        alloc_bytes = 0
-        for shard_index, (shard_results, hits, misses,
-                          shard_alloc) in enumerate(outcomes):
-            for offset, value in enumerate(shard_results):
-                results[shard_index + offset * jobs] = value
-            batch_priced += hits
-            scalar_fallback += misses
-            alloc_bytes += shard_alloc
-        if tracer.enabled and span.args is None:
-            span.args = {"rollouts": len(population), "jobs": jobs,
-                         "transport": "pickle",
-                         "batch_priced": batch_priced,
-                         "scalar_fallback": scalar_fallback,
-                         "alloc_bytes": alloc_bytes}
-        return FleetResult(
-            rollouts=tuple(population),
-            results=tuple(results),  # type: ignore[arg-type]
-            batch_priced=batch_priced,
-            scalar_fallback=scalar_fallback,
-            alloc_bytes=alloc_bytes)
-
-    def _run_parallel_shm(self, population: List[FleetRollout],
-                          jobs: int, chunk_size: Optional[int]
-                          ) -> FleetResult:
-        """Zero-copy transport: candidate and result columns through
-        :class:`~repro.engine.shm.ColumnBlock` segments.
-
-        Workers receive only their shard *spec* (config, tiers, trial
-        range, segment names) and rebuild rollouts from the mapped
-        factor columns — no row objects are pickled in either
-        direction.  Shards are contiguous trial ranges; workers write
-        result columns at absolute row offsets, so assembly is just
-        mapping the segment back.  Bit-identical to serial (same factor
-        bytes, same solve, same emit).
-        """
-        tracer = get_tracer()
-        n = len(population)
-        n_tiers = len(self.tiers)
         factors = self.factors()
         workers = min(jobs, self.trials)
-        base, extra = divmod(self.trials, workers)
-        bounds: List[Tuple[int, int]] = []
-        lo = 0
-        for w in range(workers):
-            hi = lo + base + (1 if w < extra else 0)
-            bounds.append((lo, hi))
-            lo = hi
-        factors_block = ColumnBlock.create(
-            [("factors", np.float64, (self.trials, 4))])
-        results_block = ColumnBlock.create(_result_specs(n))
-        try:
-            np.copyto(factors_block.column("factors"), factors)
-            tiers = tuple(self.tiers)
-            tasks = [(self.config, tiers, t_lo, t_hi,
-                      factors_block.name, results_block.name,
-                      self.trials, n_tiers, chunk_size)
-                     for t_lo, t_hi in bounds if t_hi > t_lo]
-            with tracer.wall_span("fleet.run", track="fleet") as span:
-                with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                    outcomes = list(pool.map(_run_fleet_shard_shm,
-                                             tasks))
-            batch_priced = sum(o[0] for o in outcomes)
-            scalar_fallback = sum(o[1] for o in outcomes)
-            alloc_bytes = sum(o[2] for o in outcomes)
-            columns = {name: results_block.column(name)
+        cuts = [self.trials * w // workers for w in range(workers + 1)]
+        tiers = tuple(self.tiers)
+        tasks = [(self.config, tiers, factors[lo:hi], chunk_size)
+                 for lo, hi in zip(cuts, cuts[1:])]
+        # Workers run without a tracer: span the fan-out from the
+        # parent so --trace-out still sees the run.
+        with get_tracer().wall_span("fleet.run", track="fleet") as span:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                pending = pool.map(_run_shard, tasks)
+                population = self.rollouts()
+                shards, priced, fell_back, nbytes = zip(*pending)
+            columns = {name: np.concatenate([shard[name]
+                                             for shard in shards])
                        for name in _RESULT_COLUMNS}
-            results = _emit_results(columns)
-            del columns  # release segment views before destroy()
-            if tracer.enabled and span.args is None:
-                span.args = {"rollouts": n, "jobs": jobs,
-                             "transport": "shm",
-                             "batch_priced": batch_priced,
-                             "scalar_fallback": scalar_fallback,
-                             "alloc_bytes": alloc_bytes}
-            return FleetResult(
-                rollouts=tuple(population),
-                results=results,
-                batch_priced=batch_priced,
-                scalar_fallback=scalar_fallback,
-                alloc_bytes=alloc_bytes)
-        finally:
-            factors_block.destroy()
-            results_block.destroy()
+            fleet = _emit_fleet(tuple(population), columns, sum(priced),
+                                sum(fell_back), sum(nbytes))
+        _publish(fleet, span, metrics, jobs=jobs)
+        return fleet
 
     def _summarize(self, fleet: FleetResult) -> List[TierStatistics]:
         by_tier: Dict[str, List[MissionResult]] = {}

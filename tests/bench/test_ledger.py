@@ -1,5 +1,4 @@
-"""Unit tests for the perf ledger: records, baselines, the gate, and
-legacy migration."""
+"""Unit tests for the perf ledger: records, baselines, and the gate."""
 
 import json
 
@@ -17,7 +16,6 @@ from repro.bench import (
     ledger_record,
     load_baselines,
     merge_baselines,
-    migrate_legacy_bench,
     read_ledger,
     write_baselines,
 )
@@ -235,50 +233,3 @@ class TestMonotoneGate:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(BenchmarkError, match="tolerance"):
             check_monotone([], self.BENCHMARKS, tolerance=0.0)
-
-
-class TestLegacyMigration:
-    def test_migrates_legacy_rows(self, tmp_path):
-        legacy = tmp_path / "BENCH_toy.json"
-        legacy.write_text(json.dumps({
-            "benchmark": "toy",
-            "rows": [
-                {"candidates": 10, "speedup": 2.0, "rate": 5.0},
-                {"candidates": 100, "speedup": 4.0, "rate": 6.0},
-            ],
-        }))
-        records = migrate_legacy_bench(str(legacy))
-        assert len(records) == 2
-        first = records[0]
-        assert first["schema"] == LEDGER_SCHEMA
-        assert first["benchmark"] == "toy"
-        assert first["size"] == 10
-        assert first["metrics"] == {"speedup": 2.0, "rate": 5.0}
-        assert first["wall_time_s"] is None  # not recorded at seed
-        assert first["migrated_from"] == "BENCH_toy.json"
-        assert first["provenance"]["git_sha"]
-
-    def test_migrated_records_feed_the_gate(self, tmp_path):
-        legacy = tmp_path / "BENCH_toy.json"
-        legacy.write_text(json.dumps({
-            "benchmark": "toy",
-            "rows": [{"rollouts": 10, "speedup": 10.0}],
-        }))
-        baselines = baselines_from_records(
-            migrate_legacy_bench(str(legacy)), source="migrated")
-        lookup = {(e["benchmark"], e["size"]): e
-                  for e in baselines["entries"]}
-        checks = check_records([_record(8.0)], lookup,
-                               {"toy": _benchmark()}, threshold=0.15)
-        assert checks[0].regressed  # 10 -> 8 is a 20% regression
-
-    def test_rejects_malformed_documents(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"rows": []}))
-        with pytest.raises(BenchmarkError, match="legacy"):
-            migrate_legacy_bench(str(bad))
-        no_size = tmp_path / "nosize.json"
-        no_size.write_text(json.dumps({
-            "benchmark": "b", "rows": [{"speedup": 1.0}]}))
-        with pytest.raises(BenchmarkError, match="size"):
-            migrate_legacy_bench(str(no_size))

@@ -12,23 +12,20 @@ Two claims are under test, both strict (bit-for-bit, not approximate):
    at handoff, so any read-before-write bug in a kernel shows up here
    as stale data from the *previous* generation leaking into this one.
 
-2. **Transport is invisible.**  Sharding a :class:`FleetStudy`
-   population over ``jobs=2`` with the shared-memory column transport
-   returns results equal to the serial run (and to the pickled
-   transport) — the zero-copy path changes how bytes move, never what
-   they are.
+2. **Sharding is invisible.**  Splitting a :class:`FleetStudy`'s
+   trials over ``jobs=2`` pool workers, which return result columns,
+   gives results equal to the serial run — the pool changes where the
+   solve runs, never what it computes.
 """
 
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.profile import DivergenceClass, WorkloadProfile
 from repro.engine.arena import BatchArena
-from repro.engine.shm import shm_available
 from repro.hw.batch import PlatformSoA, ProfileSoA, batch_estimate
 from repro.hw.catalog import uav_compute_tiers
 from repro.kernels.planning import CircleWorld
@@ -123,20 +120,16 @@ def test_shrink_then_grow_never_corrupts():
     assert arena.grows >= 1 and arena.reuses >= 1
 
 
-# -- shared-memory transport -------------------------------------------
+# -- process-pool shards ------------------------------------------------
 
-@pytest.mark.skipif(not shm_available(),
-                    reason="POSIX shared memory unavailable")
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16),
        trials=st.integers(min_value=2, max_value=5))
-def test_shm_jobs2_equals_serial(seed, trials):
+def test_jobs2_equals_serial(seed, trials):
     config = dataclasses.replace(_BASE, laps=1)
     study = FleetStudy(config=config, tiers=_TIERS, trials=trials,
                        seed=seed)
     serial = study.run()
-    shm = study.run(jobs=2, transport="shm")
-    pickled = study.run(jobs=2, transport="pickle")
-    assert shm.fleet.results == serial.fleet.results
-    assert pickled.fleet.results == serial.fleet.results
-    assert shm.statistics == serial.statistics
+    sharded = study.run(jobs=2)
+    assert sharded.fleet.results == serial.fleet.results
+    assert sharded.statistics == serial.statistics

@@ -1,9 +1,9 @@
-"""Fleet memory architecture: chunked streaming and shard transport.
+"""Fleet memory architecture: chunked streaming and sharded studies.
 
 Complements ``tests/system/test_fleet.py`` (scalar equivalence,
 allocation accounting): here the contract is that ``chunk_size`` and
-``transport`` change *where bytes live and move*, never what any result
-is — chunked == unchunked, shm == pickle == serial — plus the telemetry
+``jobs`` change *where bytes live and move*, never what any result
+is — chunked == unchunked, jobs=N == serial — plus the telemetry
 those paths publish and the errors they raise when misconfigured.
 """
 
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.engine.arena import BatchArena
-from repro.engine.shm import shm_available
 from repro.errors import ConfigurationError
 from repro.hw.catalog import uav_compute_tiers
 from repro.kernels.planning import CircleWorld
@@ -80,7 +79,11 @@ class TestChunkedRunFleet:
             run_fleet(population, chunk_size=0)
 
 
-class TestStudyTransport:
+class TestStudyJobs:
+    """``jobs`` shards the trials over a process pool; every observable
+    output equals the serial run's, chunked or not, including uneven
+    splits and fewer trials than jobs."""
+
     @pytest.fixture(scope="class")
     def study(self, config):
         return FleetStudy(config=config, tiers=uav_compute_tiers(),
@@ -90,32 +93,30 @@ class TestStudyTransport:
     def serial(self, study):
         return study.run()
 
-    def test_pickle_transport_equals_serial(self, study, serial):
-        parallel = study.run(jobs=2, transport="pickle")
-        assert parallel.fleet.results == serial.fleet.results
-        assert parallel.statistics == serial.statistics
-
-    @pytest.mark.skipif(not shm_available(),
-                        reason="POSIX shared memory unavailable")
-    def test_shm_transport_equals_serial(self, study, serial):
-        parallel = study.run(jobs=2, transport="shm")
-        assert parallel.fleet.results == serial.fleet.results
-        assert parallel.statistics == serial.statistics
-
-    @pytest.mark.skipif(not shm_available(),
-                        reason="POSIX shared memory unavailable")
-    def test_shm_chunked_equals_serial(self, study, serial):
-        parallel = study.run(jobs=2, transport="shm", chunk_size=3)
-        assert parallel.fleet.results == serial.fleet.results
+    @pytest.mark.parametrize("trials", [2, 5, 7])
+    @pytest.mark.parametrize("chunk_size", [None, 3])
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_jobs_equals_serial(self, config, jobs, chunk_size, trials):
+        study = FleetStudy(config=config, tiers=uav_compute_tiers(),
+                           trials=trials, seed=3)
+        serial_metrics = MetricsRegistry()
+        serial = study.run(metrics=serial_metrics)
+        metrics = MetricsRegistry()
+        sharded = study.run(jobs=jobs, chunk_size=chunk_size,
+                            metrics=metrics)
+        assert sharded.fleet.results == serial.fleet.results
+        assert sharded.statistics == serial.statistics
+        assert sharded.batch_priced == serial.batch_priced
+        assert sharded.scalar_fallback == serial.scalar_fallback
+        published = metrics.snapshot()
+        expected = serial_metrics.snapshot()
+        for name in ("fleet.rollouts", "fleet.batch_hits"):
+            assert published[name]["value"] == expected[name]["value"]
 
     def test_chunked_serial_study_equals_serial(self, study, serial):
         chunked = study.run(chunk_size=2)
         assert chunked.fleet.results == serial.fleet.results
         assert chunked.statistics == serial.statistics
-
-    def test_invalid_transport_rejected(self, study):
-        with pytest.raises(ConfigurationError):
-            study.run(jobs=2, transport="carrier-pigeon")
 
     def test_invalid_chunk_size_rejected(self, study):
         with pytest.raises(ConfigurationError):

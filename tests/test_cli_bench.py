@@ -201,32 +201,6 @@ class TestBenchMonotoneGate:
         assert (checks[0]["prev_size"], checks[0]["size"]) == (8, 64)
 
 
-class TestBenchMigrate:
-    def test_migrates_legacy_file_into_ledger_and_baselines(
-            self, tmp_path, capsys):
-        legacy = tmp_path / "BENCH_batch_pricing.json"
-        legacy.write_text(json.dumps({
-            "benchmark": "batch_pricing",
-            "rows": [{"candidates": 1000, "scalar_per_s": 700.0,
-                      "batch_per_s": 8400.0, "speedup": 12.0}],
-        }))
-        ledger = tmp_path / "ledger.jsonl"
-        baselines = tmp_path / "baselines.json"
-        assert main(["bench", "--migrate", str(legacy),
-                     "--ledger", str(ledger),
-                     "--baselines", str(baselines),
-                     "--update-baselines"]) == 0
-        record = json.loads(ledger.read_text().splitlines()[0])
-        assert record["benchmark"] == "batch_pricing"
-        assert record["migrated_from"] == "BENCH_batch_pricing.json"
-        document = json.loads(baselines.read_text())
-        assert document["entries"][0]["source"] == "migrated"
-
-    def test_migrate_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["bench", "--migrate",
-                     str(tmp_path / "nope.json")]) == 2
-
-
 class TestFleetProfileOut:
     def test_profile_reports_phases_and_alloc_counters(
             self, tmp_path, capsys):
