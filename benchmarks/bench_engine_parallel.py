@@ -107,12 +107,12 @@ def test_cache_hit_rate_and_replay_cost(report):
                + after["misses"] - before["misses"])
     hit_rate = (after["hits"] - before["hits"]) / lookups
     report(f"engine cache bench: cold {cold_s * 1e3:.0f} ms"
-           f" ({cold.oracle_calls} oracle calls), warm"
-           f" {warm_s * 1e3:.1f} ms ({warm.oracle_calls} oracle"
+           f" ({cold.stats()['oracle_calls']} oracle calls), warm"
+           f" {warm_s * 1e3:.1f} ms ({warm.stats()['oracle_calls']} oracle"
            f" calls), hit rate {hit_rate:.0%},"
            f" replay win {cold_s / max(warm_s, 1e-9):.0f}x")
     assert warm_values == cold_values
-    assert warm.oracle_calls == 0
+    assert warm.stats()["oracle_calls"] == 0
     assert hit_rate == 1.0
     assert warm_s < cold_s / 10
 

@@ -424,7 +424,7 @@ def run_funnel_dse(size: int) -> Dict[str, float]:
     # Tier-equivalence replay: top-tier funnel entries are legacy-keyed.
     replay = Evaluator(objective, cache=cache)
     (hit,) = replay.map_batch([result.best_config])
-    assert hit.cached and replay.oracle_calls == 0, \
+    assert hit.cached and replay.stats()["oracle_calls"] == 0, \
         "funnel-primed cache did not replay under direct evaluation"
     assert hit.value == result.best_value
 

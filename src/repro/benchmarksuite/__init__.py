@@ -21,17 +21,12 @@ from repro.benchmarksuite.scoring import (
     normalized_scores,
     score_report,
 )
-from repro.benchmarksuite.workloads import (
-    WORKLOAD_BUILDERS,
-    build_workload,
-    standard_suite,
-)
+from repro.benchmarksuite.workloads import build_workload, standard_suite
 
 __all__ = [
     "BenchmarkRow",
     "PairPricer",
     "SuiteRunner",
-    "WORKLOAD_BUILDERS",
     "build_workload",
     "evaluate_pair",
     "geometric_mean",

@@ -9,7 +9,7 @@ construction).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import List
 
 from repro.core.profile import DivergenceClass, WorkloadProfile
 from repro.core.workload import Stage, TaskGraph, Workload
@@ -240,25 +240,15 @@ def multi_object_tracking() -> Workload:
                     tags=("perception", "av"))
 
 
-#: Legacy name -> builder view of the registry (kept for callers
-#: that index it directly); the registry itself is the source of
-#: truth and preserves this curated order.
-WORKLOAD_BUILDERS: Dict[str, Callable[[], Workload]] = \
-    WORKLOADS.as_dict()
-
-
 def build_workload(name: str) -> Workload:
     """Build one registered workload by name."""
-    try:
-        builder = WORKLOAD_BUILDERS[name]
-    except KeyError:
+    if name not in WORKLOADS:
         raise BenchmarkError(
             f"unknown workload {name!r}; registered:"
-            f" {sorted(WORKLOAD_BUILDERS)}"
-        ) from None
-    return builder()
+            f" {sorted(WORKLOADS.names())}")
+    return WORKLOADS.get(name)()
 
 
 def standard_suite() -> List[Workload]:
     """All registered workloads, in registry order."""
-    return [builder() for builder in WORKLOAD_BUILDERS.values()]
+    return [entry.builder() for entry in WORKLOADS.entries()]

@@ -40,7 +40,7 @@ class SearchResult:
         best_value: Its objective value.
         evaluations: Unique candidate evaluations the search consumed.
             (Counted at the search level: a warm result cache reduces
-            *oracle calls* — see ``Evaluator.oracle_calls`` — but not
+            *oracle calls* — see ``Evaluator.stats()["oracle_calls"]`` — but not
             this number, so results stay identical across cache states.)
         history: ``(config, value)`` in evaluation order.
         trace: Best-so-far value after each evaluation (for sample-

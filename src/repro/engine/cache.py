@@ -15,10 +15,11 @@ resident memory level with ``max_entries``: the least recently used
 entry is evicted on overflow.  Eviction touches only the memory level —
 entries persisted to a cache directory stay on disk and are promoted
 back on the next lookup, so a bounded cache trades re-read cost for
-memory, never correctness.  With a ``metrics`` registry attached, the
-cache publishes ``engine.cache.hits`` / ``.misses`` / ``.disk_hits`` /
-``.evictions`` counters as they happen (the serve layer additionally
-namespaces the same counters by tenant label).
+memory, never correctness.  The cache counts lookups only in its
+metrics registry (the one passed as ``metrics``, or a private one):
+``engine.cache.hits`` / ``.misses`` / ``.disk_hits`` / ``.evictions``.
+:meth:`ResultCache.stats` is a read-only view of those counters (the
+serve layer additionally namespaces hits and misses by tenant label).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import EngineError
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["ResultCache"]
 
@@ -48,24 +50,26 @@ class ResultCache:
         decode: JSON-able structure -> value (default: identity).
         max_entries: Bound on the in-memory level (``None`` =
             unbounded).  On overflow the least recently used entry is
-            evicted (``evictions`` counts them); the disk level, when
-            enabled, is never evicted.
-        metrics: Optional :class:`~repro.telemetry.metrics.MetricsRegistry`
-            receiving ``engine.cache.*`` counters at event time.
+            evicted (``engine.cache.evictions`` counts them); the disk
+            level, when enabled, is never evicted.
+        metrics: Registry that stores the ``engine.cache.*`` counters
+            (a private one by default).  Its four counters are
+            registered on construction.
 
     Attributes:
-        hits: Lookups answered from memory or disk.
-        misses: Lookups answered by neither.
-        disk_hits: The subset of ``hits`` that had to touch disk.
-        evictions: Memory-level entries dropped by the
-            ``max_entries`` bound.
+        metrics: The registry holding this cache's counters:
+            ``engine.cache.hits`` (lookups answered from memory or
+            disk), ``.misses`` (answered by neither), ``.disk_hits``
+            (the subset of hits that had to touch disk) and
+            ``.evictions`` (memory-level entries dropped by the
+            ``max_entries`` bound).
     """
 
     def __init__(self, directory: Optional[str] = None, *,
                  encode: Optional[Callable[[Any], Any]] = None,
                  decode: Optional[Callable[[Any], Any]] = None,
                  max_entries: Optional[int] = None,
-                 metrics: Optional[Any] = None):
+                 metrics: Optional[MetricsRegistry] = None):
         if max_entries is not None and max_entries < 1:
             raise EngineError(
                 f"max_entries must be >= 1 (got {max_entries})")
@@ -74,11 +78,11 @@ class ResultCache:
         self._encode = encode if encode is not None else (lambda v: v)
         self._decode = decode if decode is not None else (lambda v: v)
         self.max_entries = max_entries
-        self.metrics = metrics
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.evictions = 0
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
+        self._hits, self._misses, self._disk_hits, self._evictions = (
+            self.metrics.counter(f"engine.cache.{name}")
+            for name in ("hits", "misses", "disk_hits", "evictions"))
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -86,10 +90,6 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         assert self.directory is not None
         return self.directory / f"{key}.json"
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"engine.cache.{name}").inc()
 
     def _touch(self, key: str, value: Any) -> None:
         """Move ``key`` to the most-recently-used end (dicts preserve
@@ -103,8 +103,7 @@ class ResultCache:
         value = self._memory.get(key, _MISS)
         if value is not _MISS:
             self._touch(key, value)
-            self.hits += 1
-            self._count("hits")
+            self._hits.inc()
             return True, value
         if self.directory is not None:
             path = self._path(key)
@@ -118,13 +117,10 @@ class ResultCache:
                         f"corrupt cache entry {path}: {error}"
                     ) from error
                 self._insert(key, value)
-                self.hits += 1
-                self.disk_hits += 1
-                self._count("hits")
-                self._count("disk_hits")
+                self._hits.inc()
+                self._disk_hits.inc()
                 return True, value
-        self.misses += 1
-        self._count("misses")
+        self._misses.inc()
         return False, None
 
     def _insert(self, key: str, value: Any) -> None:
@@ -135,8 +131,7 @@ class ResultCache:
         while len(self._memory) > self.max_entries:
             oldest = next(iter(self._memory))
             del self._memory[oldest]
-            self.evictions += 1
-            self._count("evictions")
+            self._evictions.inc()
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` (memory, and disk when enabled).
@@ -167,11 +162,11 @@ class ResultCache:
                 path.unlink()
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss counters plus current entry count."""
+        """Current entry count plus a view of the hit/miss counters."""
         return {
             "entries": len(self._memory),
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "evictions": self.evictions,
+            "hits": int(self._hits.value),
+            "misses": int(self._misses.value),
+            "disk_hits": int(self._disk_hits.value),
+            "evictions": int(self._evictions.value),
         }

@@ -42,9 +42,14 @@ Every search loop and suite run in the repo used to own a private
   elementwise, so any chunking of the pending set computes the same
   results.
 
-Telemetry: oracle calls, cache hits/misses, batch-path hits/fallbacks,
-chunk counts/occupancy, and per-candidate wall times are published
-through :mod:`repro.telemetry` when a registry or tracer is supplied.
+Telemetry: the evaluator counts only in its
+:class:`~repro.telemetry.metrics.MetricsRegistry` (the one passed as
+``metrics``, or a private one): oracle calls, cache hits, batch-path
+hits/fallbacks, shards, chunk counts/occupancy and per-candidate wall
+times land under ``engine.*``, and a tiered batch's counts under
+``engine.tier.<name>.*`` as well.  :meth:`Evaluator.stats` and
+:meth:`Evaluator.tier_stats` are read-only views of those counters;
+per-batch wall spans go to the tracer.
 """
 
 from __future__ import annotations
@@ -59,7 +64,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.engine.cache import ResultCache
 from repro.engine.fingerprint import fingerprint, try_fast_json
 from repro.errors import BatchFallback, EngineError
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import (
+    MetricsRegistry,
+    StreamingHistogram,
+)
 from repro.telemetry.tracer import Tracer, get_tracer
 
 __all__ = ["EvalResult", "Evaluator"]
@@ -72,6 +80,15 @@ _SEED_MASK = (1 << 63) - 1
 #: Smallest evaluate_batch window worth sharding across a process
 #: pool; below this, pool spin-up and pickling dominate the kernel.
 _SHARD_FLOOR = 64
+
+#: The ``engine.<name>`` counters :meth:`Evaluator.stats` reports.
+_STATS = ("oracle_calls", "batches", "batch_hits", "batch_fallbacks",
+          "batch_shards", "chunks")
+
+#: The ``engine.tier.<tier>.<name>`` counters
+#: :meth:`Evaluator.tier_stats` reports for every tier.
+_TIER_STATS = ("candidates", "oracle_calls", "cache_hits", "batch_hits",
+               "batch_fallbacks")
 
 
 @dataclass(frozen=True)
@@ -137,7 +154,10 @@ class Evaluator:
             oracle pass (None = the whole pending set at once).  Bounds
             the peak working set without changing values, order, seeds,
             or cache keys.
-        metrics: Registry receiving ``engine.*`` counters/histograms.
+        metrics: Registry that stores the ``engine.*`` counters and
+            histograms (a private one by default).  :meth:`stats` reads
+            the whole registry, so evaluators sharing one report their
+            combined counts.
         tracer: Tracer receiving per-batch wall spans (defaults to the
             process-global tracer).
     """
@@ -159,18 +179,12 @@ class Evaluator:
         self.seed = int(seed)
         self.seeded = bool(seeded)
         self.chunk_size = int(chunk_size) if chunk_size else None
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
         self._tracer = tracer
         self._context_fp = fingerprint(context) if context is not None \
             else ""
         self._key_suffixes: Dict[Optional[str], str] = {}
-        self.oracle_calls = 0
-        self.batches = 0
-        self.batch_hits = 0
-        self.batch_fallbacks = 0
-        self.batch_shards = 0
-        self.chunks = 0
-        self._tier_counters: Dict[str, Dict[str, int]] = {}
         self._tiers_cache: Optional[Tuple[Any, ...]] = None
 
     # -- content addressing -------------------------------------------
@@ -303,39 +317,34 @@ class Evaluator:
             else:
                 pending[key] = candidate
         wall: Dict[str, float] = {}
+        wall_histograms = [self.metrics.histogram("engine.eval_wall_s")]
+        if tier_name is not None:
+            wall_histograms.append(self.metrics.histogram(
+                f"engine.tier.{tier_name}.eval_wall_s"))
         if pending:
             order = list(pending)
             step = self.chunk_size or len(order)
-            chunks = 0
             for lo in range(0, len(order), step):
                 window = order[lo:lo + step]
                 outcomes = self._run_pending(
                     [pending[k] for k in window],
                     [self.seed_for(k) for k in window],
-                    scalar_fn, batch_fn, tier_name,
+                    scalar_fn, batch_fn, tier_name, wall_histograms,
                 )
                 for key, (value, wall_s) in zip(window, outcomes):
                     self.cache.put(key, value)
                     values[key] = value
                     wall[key] = wall_s
                     fresh_keys.add(key)
-                chunks += 1
-            self.oracle_calls += len(order)
-            self.chunks += chunks
-            if self.metrics is not None and self.chunk_size is not None:
-                self.metrics.counter("engine.chunks").inc(chunks)
-                occupancy = self.metrics.histogram(
-                    "engine.chunk_occupancy")
-                for lo in range(0, len(order), step):
-                    occupancy.record(
-                        min(step, len(order) - lo) / step)
-        self.batches += 1
-        if tier_name is not None:
-            counters = self._tier_counter(tier_name)
-            counters["candidates"] += len(candidates)
-            counters["oracle_calls"] += len(pending)
-            counters["cache_hits"] += len(candidates) - len(pending)
-        self._publish(len(candidates), len(pending), wall, tier_name)
+                if self.chunk_size is not None:
+                    self._count("chunks", 1)
+                    self.metrics.histogram("engine.chunk_occupancy") \
+                        .record(len(window) / step)
+        self._count("batches", 1)
+        self._count("candidates", len(candidates), tier_name)
+        self._count("oracle_calls", len(pending), tier_name)
+        self._count("cache_hits", len(candidates) - len(pending),
+                    tier_name)
 
         results: List[EvalResult] = []
         seen: set = set()
@@ -355,62 +364,56 @@ class Evaluator:
     def _run_pending(self, candidates: List[Any], seeds: List[int],
                      scalar_fn: Objective,
                      batch_fn: Optional[Callable[..., Any]],
-                     tier_name: Optional[str]
+                     tier_name: Optional[str],
+                     wall_histograms: List[StreamingHistogram]
                      ) -> List[Tuple[Any, float]]:
+        """Price one window, recording its wall times into
+        ``wall_histograms``.
+
+        A batch call gives every candidate the same wall-time share,
+        so that share is recorded once with a count.
+        """
         if batch_fn is not None:
             started = time.perf_counter()
             try:
                 values = self._call_batch(batch_fn, candidates, seeds)
             except BatchFallback:
-                self.batch_fallbacks += len(candidates)
-                if tier_name is not None:
-                    self._tier_counter(tier_name)["batch_fallbacks"] \
-                        += len(candidates)
-                if self.metrics is not None:
-                    self.metrics.counter("engine.batch_fallbacks").inc(
-                        len(candidates))
-                    if tier_name is not None:
-                        self.metrics.counter(
-                            f"engine.tier.{tier_name}.batch_fallbacks"
-                        ).inc(len(candidates))
+                self._count("batch_fallbacks", len(candidates),
+                            tier_name)
             else:
                 if len(values) != len(candidates):
                     raise EngineError(
                         f"evaluate_batch returned {len(values)} values"
                         f" for {len(candidates)} candidates")
-                elapsed = time.perf_counter() - started
-                self.batch_hits += len(values)
-                if tier_name is not None:
-                    self._tier_counter(tier_name)["batch_hits"] \
-                        += len(values)
-                if self.metrics is not None:
-                    self.metrics.counter("engine.batch_hits").inc(
-                        len(values))
-                    if tier_name is not None:
-                        self.metrics.counter(
-                            f"engine.tier.{tier_name}.batch_hits"
-                        ).inc(len(values))
-                share = elapsed / len(values) if values else 0.0
+                share = (time.perf_counter() - started) / len(values)
+                self._count("batch_hits", len(values), tier_name)
+                for histogram in wall_histograms:
+                    histogram.record(share, len(values))
                 return [(value, share) for value in values]
         if self.jobs == 1 or len(candidates) == 1:
-            return [_timed_call(scalar_fn, candidate, seed,
-                                self.seeded)
-                    for candidate, seed in zip(candidates, seeds)]
-        try:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                return list(pool.map(
-                    _timed_call,
-                    [scalar_fn] * len(candidates),
-                    candidates,
-                    seeds,
-                    [self.seeded] * len(candidates),
-                ))
-        except (AttributeError, TypeError) as error:
-            # Most commonly: an unpicklable closure objective.
-            raise EngineError(
-                f"parallel evaluation (jobs={self.jobs}) requires a"
-                f" picklable objective and candidates: {error}"
-            ) from error
+            outcomes = [_timed_call(scalar_fn, candidate, seed,
+                                    self.seeded)
+                        for candidate, seed in zip(candidates, seeds)]
+        else:
+            try:
+                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+                    outcomes = list(pool.map(
+                        _timed_call,
+                        [scalar_fn] * len(candidates),
+                        candidates,
+                        seeds,
+                        [self.seeded] * len(candidates),
+                    ))
+            except (AttributeError, TypeError) as error:
+                # Most commonly: an unpicklable closure objective.
+                raise EngineError(
+                    f"parallel evaluation (jobs={self.jobs}) requires a"
+                    f" picklable objective and candidates: {error}"
+                ) from error
+        for _, wall_s in outcomes:
+            for histogram in wall_histograms:
+                histogram.record(wall_s)
+        return outcomes
 
     def _call_batch(self, batch_fn: Callable[..., Any],
                     candidates: List[Any],
@@ -453,63 +456,41 @@ class Evaluator:
                             f"evaluate_batch shard returned"
                             f" {len(part)} values for {hi - lo}"
                             f" candidates")
-                self.batch_shards += len(bounds)
-                if self.metrics is not None:
-                    self.metrics.counter("engine.batch_shards").inc(
-                        len(bounds))
+                self._count("batch_shards", len(bounds))
                 return [value for part in parts for value in part]
         return list(batch_fn(candidates, seeds) if self.seeded
                     else batch_fn(candidates))
 
-    def _publish(self, batch: int, fresh: int, wall: Dict[str, float],
-                 tier_name: Optional[str] = None) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter("engine.batches").inc()
-        self.metrics.counter("engine.candidates").inc(batch)
-        if fresh:
-            self.metrics.counter("engine.oracle_calls").inc(fresh)
-        if batch > fresh:
-            self.metrics.counter("engine.cache_hits").inc(batch - fresh)
-        histogram = self.metrics.histogram("engine.eval_wall_s")
-        for wall_s in wall.values():
-            histogram.record(wall_s)
-        if tier_name is not None:
-            prefix = f"engine.tier.{tier_name}"
-            self.metrics.counter(f"{prefix}.candidates").inc(batch)
-            if fresh:
-                self.metrics.counter(f"{prefix}.oracle_calls").inc(fresh)
-            if batch > fresh:
-                self.metrics.counter(f"{prefix}.cache_hits").inc(
-                    batch - fresh)
-            tier_hist = self.metrics.histogram(f"{prefix}.eval_wall_s")
-            for wall_s in wall.values():
-                tier_hist.record(wall_s)
+    def _count(self, name: str, amount: int,
+               tier_name: Optional[str] = None) -> None:
+        """Add ``amount`` to ``engine.<name>`` and, for a tiered batch,
+        to ``engine.tier.<tier_name>.<name>``.  A zero amount
+        registers nothing, so views never see names that were not
+        counted."""
+        if amount:
+            self.metrics.counter(f"engine.{name}").inc(amount)
+            if tier_name is not None:
+                self.metrics.counter(
+                    f"engine.tier.{tier_name}.{name}").inc(amount)
 
     # -- introspection ------------------------------------------------
 
-    def _tier_counter(self, tier_name: str) -> Dict[str, int]:
-        return self._tier_counters.setdefault(tier_name, {
-            "candidates": 0, "oracle_calls": 0, "cache_hits": 0,
-            "batch_hits": 0, "batch_fallbacks": 0})
-
     def tier_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-tier counters, keyed by tier name.
+        """Per-tier counters, keyed by tier name: a view of the
+        ``engine.tier.<name>.*`` counters in :attr:`metrics`.
 
         Only batches priced through an explicit ``tier=`` are counted
-        here (legacy ``map_batch`` calls land in :meth:`stats` alone);
-        the same numbers are published as ``engine.tier.<name>.*``
-        metrics when a registry is attached.
+        here (legacy ``map_batch`` calls land in :meth:`stats` alone).
+        Every tier reports all five counters, zeros included.
         """
-        return {name: dict(counters)
-                for name, counters in self._tier_counters.items()}
+        return {tier: {name: int(counts.get(name, 0))
+                       for name in _TIER_STATS}
+                for tier, counts in
+                self.metrics.grouped("engine.tier.").items()}
 
     def stats(self) -> Dict[str, int]:
-        """Oracle/batch counters merged with the cache's own stats."""
-        return {"oracle_calls": self.oracle_calls,
-                "batches": self.batches,
-                "batch_hits": self.batch_hits,
-                "batch_fallbacks": self.batch_fallbacks,
-                "batch_shards": self.batch_shards,
-                "chunks": self.chunks,
+        """Oracle/batch counters merged with the cache's own stats: a
+        view of the ``engine.*`` counters in :attr:`metrics`."""
+        return {**{name: int(self.metrics.value(f"engine.{name}"))
+                   for name in _STATS},
                 **self.cache.stats()}

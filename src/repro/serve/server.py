@@ -39,13 +39,16 @@ Dashboard (one shared :class:`~repro.telemetry.MetricsRegistry`):
 ``serve.flushes`` / ``serve.coalesced_batches`` counters,
 ``serve.request_latency_s`` histogram (p50/p99 via ``summary()``),
 ``engine.cache.*`` totals from the shared cache, and
-``engine.cache.tenant.<label>.hits`` / ``.misses`` per tenant.
+``engine.cache.tenant.<label>.hits`` / ``.misses`` per tenant.  Each
+lane's evaluator counts in a registry of its own, so the ``lanes``
+section of :meth:`EvalServer.stats` reports per-lane engine counts.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set
@@ -64,6 +67,8 @@ from repro.serve.protocol import (
 from repro.telemetry import MetricsRegistry
 
 __all__ = ["ServeConfig", "EvalServer"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,9 @@ class EvalServer:
     def lane(self, objective_name: str) -> Lane:
         """The lane for an objective (created on first use).  Every
         lane shares the server cache; contexts embed the objective
-        name, so keys cannot collide across lanes."""
+        name, so keys cannot collide across lanes.  The lane evaluator
+        keeps its own metrics registry, so its ``stats()`` counts that
+        lane alone."""
         existing = self._lanes.get(objective_name)
         if existing is not None:
             return existing
@@ -179,7 +186,6 @@ class EvalServer:
             cache=self.cache,
             chunk_size=self.config.chunk_size,
             context=evaluator_context(objective_name),
-            metrics=self.metrics,
         )
         created = Lane(objective_name, evaluator)
         self._lanes[objective_name] = created
@@ -390,7 +396,11 @@ class EvalServer:
             else:
                 fresh = await self._price_coalesced(lane, submission,
                                                     keys, resolved)
-        except ReproError as error:
+        except Exception as error:
+            # The daemon keeps answering: whatever the oracle raised
+            # becomes this request's error envelope.
+            if not isinstance(error, ReproError):
+                _log.exception("pricing a submission failed")
             return error_response("submit", "internal", str(error))
         finally:
             remaining = self._inflight.get(tenant, 0) - count
@@ -509,7 +519,12 @@ class EvalServer:
             outcomes = await loop.run_in_executor(
                 self._oracle, lane.evaluator.map_batch,
                 [entry.candidate for entry in entries])
-        except ReproError as error:
+        except Exception as error:
+            # Answer every parked waiter whatever the oracle raised:
+            # the entries have already left the pending set.
+            if not isinstance(error, ReproError):
+                _log.exception("flush of %d candidates failed",
+                               len(entries))
             failure = ServeError(f"oracle failed: {error}")
             for entry in entries:
                 for future in entry.waiters:
@@ -535,37 +550,25 @@ class EvalServer:
         """Per-tenant cache counters, recovered from the namespaced
         metrics (``engine.cache.tenant.<label>.<counter>``) — the
         registry IS the store; there is no parallel tree."""
-        prefix = "engine.cache.tenant."
-        tenants: Dict[str, Dict[str, float]] = {}
-        snapshot = self.metrics.snapshot()
-        for name, fields in snapshot.items():
-            if not name.startswith(prefix):
-                continue
-            tenant, _, counter = name[len(prefix):].rpartition(".")
-            tenants.setdefault(tenant, {})[counter] = fields["value"]
-        return tenants
+        return self.metrics.grouped("engine.cache.tenant.")
 
     def stats(self) -> Dict[str, Any]:
         """The dashboard snapshot the ``stats`` op returns."""
-        snapshot = self.metrics.snapshot()
-
-        def _value(name: str) -> float:
-            return snapshot.get(name, {}).get("value", 0.0)
-
+        value = self.metrics.value
         latency = self.metrics.histogram(
             "serve.request_latency_s").summary()
         occupancy = self.metrics.histogram(
             "serve.batch_occupancy").summary()
         return {
             "serve": {
-                "requests": _value("serve.requests"),
-                "candidates": _value("serve.candidates"),
-                "flushes": _value("serve.flushes"),
-                "coalesced_batches": _value(
+                "requests": value("serve.requests"),
+                "candidates": value("serve.candidates"),
+                "flushes": value("serve.flushes"),
+                "coalesced_batches": value(
                     "serve.coalesced_batches"),
-                "coalesced_candidates": _value(
+                "coalesced_candidates": value(
                     "serve.coalesced_candidates"),
-                "dropped_responses": _value(
+                "dropped_responses": value(
                     "serve.dropped_responses"),
                 "queue_depth": self._queue_depth(),
                 "request_latency_s": latency,

@@ -76,9 +76,6 @@ class Registry:
     def _ensure_loaded(self) -> None:
         if self._loaded:
             return
-        # Flip the flag first: a provider module may consult the
-        # registry at the bottom of its own body (e.g. to derive its
-        # legacy name->builder dict), which must not recurse here.
         self._loaded = True
         for module in self._providers:
             importlib.import_module(module)

@@ -104,17 +104,23 @@ class StreamingHistogram:
         self.min = math.inf
         self.max = -math.inf
 
-    def record(self, value: float) -> None:
+    def record(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one bucket update, however
+        many samples share the value)."""
+        if count < 1:
+            raise TelemetryError(
+                f"histogram {self.name!r}: count must be >= 1"
+                f" (got {count})")
         value = float(value)
-        self.count += 1
-        self.total += value
+        self.count += count
+        self.total += value * count
         self.min = min(self.min, value)
         self.max = max(self.max, value)
         if value <= self.min_value:
-            self._underflow += 1
+            self._underflow += count
             return
         index = int(math.log(value / self.min_value) / self._log_growth)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        self._buckets[index] = self._buckets.get(index, 0) + count
 
     def mean(self) -> float:
         if self.count == 0:
@@ -195,6 +201,26 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._metrics)
+
+    def value(self, name: str) -> float:
+        """The value of counter or gauge ``name``; 0 when no metric of
+        that name exists (reading never registers one)."""
+        metric = self._metrics.get(name)
+        if metric is None:
+            return 0.0
+        return metric.value  # type: ignore[attr-defined]
+
+    def grouped(self, prefix: str) -> Dict[str, Dict[str, float]]:
+        """Counters named ``<prefix><group>.<leaf>`` as ``group ->
+        {leaf -> value}`` (the group is everything up to the last
+        dot, so it may itself contain dots)."""
+        groups: Dict[str, Dict[str, float]] = {}
+        for name in self.names():
+            metric = self._metrics[name]
+            if name.startswith(prefix) and isinstance(metric, Counter):
+                group, _, leaf = name[len(prefix):].rpartition(".")
+                groups.setdefault(group, {})[leaf] = metric.value
+        return groups
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """``name -> {field -> value}`` for every registered metric."""

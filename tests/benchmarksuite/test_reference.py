@@ -18,8 +18,8 @@ def reference():
 
 class TestComputeReference:
     def test_covers_standard_suite(self, reference):
-        from repro.benchmarksuite import WORKLOAD_BUILDERS
-        assert set(reference) == set(WORKLOAD_BUILDERS)
+        from repro.spec.registry import WORKLOADS
+        assert set(reference) == set(WORKLOADS.names())
         assert all(v > 0 for v in reference.values())
 
     def test_deterministic(self, reference):

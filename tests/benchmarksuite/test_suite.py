@@ -6,7 +6,6 @@ import pytest
 
 from repro.benchmarksuite import (
     SuiteRunner,
-    WORKLOAD_BUILDERS,
     build_workload,
     geometric_mean,
     normalized_scores,
@@ -21,12 +20,13 @@ from repro.hw import (
     embedded_gpu,
 )
 from repro.hw.asic import widget_asic
+from repro.spec.registry import WORKLOADS
 
 
 class TestWorkloads:
     def test_registry_builds_everything(self):
         suite = standard_suite()
-        assert len(suite) == len(WORKLOAD_BUILDERS)
+        assert [w.name for w in suite] == WORKLOADS.names()
         assert all(len(w.graph) >= 2 for w in suite)
 
     def test_unknown_workload(self):

@@ -301,7 +301,7 @@ class TestFunnelSearch:
         results = replay.map_batch(
             [config for config, _ in result.history])
         assert all(r.cached for r in results)
-        assert replay.oracle_calls == 0
+        assert replay.stats()["oracle_calls"] == 0
         assert [r.value for r in results] \
             == [value for _, value in result.history]
 

@@ -38,7 +38,7 @@ class TestBoundedMemory:
         assert cache.get("a")[0]
         assert not cache.get("b")[0]
         assert cache.get("c")[0]
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert len(cache) == 2
 
     def test_put_refreshes_recency(self):
@@ -54,10 +54,10 @@ class TestBoundedMemory:
         cache = ResultCache(str(tmp_path), max_entries=1)
         cache.put("a", 1)
         cache.put("b", 2)  # "a" evicted from memory, not from disk
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         hit, value = cache.get("a")
         assert hit and value == 1
-        assert cache.disk_hits == 1
+        assert cache.stats()["disk_hits"] == 1
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(EngineError):
@@ -86,10 +86,10 @@ class TestDiskLevel:
         second = ResultCache(str(tmp_path))  # cold memory, warm disk
         hit, value = second.get("deadbeef")
         assert hit and value == {"v": 1.25}
-        assert second.disk_hits == 1
+        assert second.stats()["disk_hits"] == 1
         # Promoted: the next lookup stays in memory.
         second.get("deadbeef")
-        assert second.disk_hits == 1 and second.hits == 2
+        assert second.stats()["disk_hits"] == 1 and second.stats()["hits"] == 2
 
     def test_infinity_round_trips(self, tmp_path):
         first = ResultCache(str(tmp_path))

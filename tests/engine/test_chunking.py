@@ -51,19 +51,19 @@ class TestChunkedValues:
         results = evaluator.map_batch(list(range(10)))
         assert objective.windows == [4, 4, 2]
         assert [r.value for r in results] == [c * c for c in range(10)]
-        assert evaluator.chunks == 3
+        assert evaluator.stats()["chunks"] == 3
 
     def test_chunk_size_larger_than_batch_is_one_chunk(self):
         evaluator = Evaluator(_square, chunk_size=100)
         evaluator.map_batch(list(range(5)))
-        assert evaluator.chunks == 1
+        assert evaluator.stats()["chunks"] == 1
 
     def test_cached_candidates_do_not_consume_chunks(self):
         evaluator = Evaluator(_square, chunk_size=2)
         evaluator.map_batch([1, 2, 3, 4])
-        chunks_before = evaluator.chunks
+        chunks_before = evaluator.stats()["chunks"]
         evaluator.map_batch([1, 2, 3, 4])  # fully cache-warm
-        assert evaluator.chunks == chunks_before
+        assert evaluator.stats()["chunks"] == chunks_before
 
     def test_chunk_size_validation(self):
         with pytest.raises(EngineError):

@@ -41,14 +41,14 @@ class TestBasics:
         assert [r.value for r in results] == [4.0, 4.0, 4.0]
         assert [r.cached for r in results] == [False, True, True]
         assert CALLS == [2]
-        assert ev.oracle_calls == 1
+        assert ev.stats()["oracle_calls"] == 1
 
     def test_cross_batch_cache(self):
         ev = Evaluator(_square)
         ev.map_batch(_cand(1, 2))
         results = ev.map_batch(_cand(2, 3))
         assert [r.cached for r in results] == [True, False]
-        assert ev.oracle_calls == 3
+        assert ev.stats()["oracle_calls"] == 3
 
     def test_warm_cache_means_zero_oracle_calls(self):
         cache = ResultCache()
@@ -58,7 +58,7 @@ class TestBasics:
         second = Evaluator(_square, cache=cache)
         b = second.map_batch(_cand(1, 2, 3))
         assert CALLS == []
-        assert second.oracle_calls == 0
+        assert second.stats()["oracle_calls"] == 0
         assert [r.value for r in a] == [r.value for r in b]
 
     def test_jobs_must_be_positive(self):

@@ -189,7 +189,7 @@ class TestEvaluatorTiers:
                            context={"task": "tiers"})
         results = replay.map_batch(self._candidates())
         assert all(r.cached for r in results)
-        assert replay.oracle_calls == 0
+        assert replay.stats()["oracle_calls"] == 0
 
     def test_lower_tiers_do_not_pollute_full_fidelity(self):
         cache = ResultCache()
@@ -229,5 +229,9 @@ class TestEvaluatorTiers:
         assert stats["screen"]["oracle_calls"] == 6
         assert stats["screen"]["cache_hits"] == 6
         assert stats["full"]["oracle_calls"] == 2
+        # A tier that never fell back still reports all five counters.
+        assert stats["full"] == {"candidates": 2, "oracle_calls": 2,
+                                 "cache_hits": 0, "batch_hits": 2,
+                                 "batch_fallbacks": 0}
         # Legacy stats() keeps its shape (global counters only).
         assert ev.stats()["oracle_calls"] == 8

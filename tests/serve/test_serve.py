@@ -12,6 +12,8 @@ import socket
 import threading
 import time
 
+import pytest
+
 from repro.cli import main
 from repro.engine import Evaluator
 from repro.serve import ServeClient
@@ -19,6 +21,16 @@ from repro.serve.protocol import encode_line, evaluator_context
 from repro.spec.registry import OBJECTIVES, SPACES
 
 SPACE = SPACES.build("codesign", "$")
+
+
+class Exploding:
+    """An oracle failing with an error that is not a ReproError."""
+
+    def __call__(self, candidate):
+        raise RuntimeError("kernel exploded")
+
+    def evaluate_batch(self, candidates):
+        raise RuntimeError("kernel exploded")
 
 
 def serial_values(indices, objective="suite_objective"):
@@ -216,6 +228,18 @@ class TestCacheSharing:
         assert stats["cache"]["misses"] >= 2
 
 
+class TestLaneStats:
+    def test_each_lane_counts_only_its_own_oracle_calls(self, daemon):
+        handle = daemon(max_wait_ms=10.0)
+        with handle.client() as client:
+            client.submit_values(space="codesign", indices=[0, 1, 2])
+            client.submit_values(space="codesign", indices=[3],
+                                 objective="mission_objective")
+            lanes = client.stats()["lanes"]
+        assert lanes["suite_objective"]["oracle_calls"] == 3
+        assert lanes["mission_objective"]["oracle_calls"] == 1
+
+
 class TestAdmissionControl:
     def test_per_tenant_inflight_cap(self, daemon):
         handle = daemon(max_wait_ms=10.0, max_inflight=4)
@@ -310,6 +334,24 @@ class TestRobustness:
         assert envelope["error"] == "bad_request"
         with handle.client() as client:
             assert client.ping()
+
+    @pytest.mark.parametrize("no_coalesce", [False, True])
+    def test_oracle_exception_answers_with_error_envelope(
+            self, daemon, no_coalesce):
+        handle = daemon(max_wait_ms=10.0)
+        handle.server.lane("mission_objective").evaluator.objective = \
+            Exploding()
+        with handle.client(timeout=10.0) as client:
+            envelope = client.submit(space="codesign", indices=[0, 1],
+                                     objective="mission_objective",
+                                     no_coalesce=no_coalesce)
+            assert envelope["ok"] is False
+            assert envelope["error"] == "internal"
+            assert "kernel exploded" in envelope["detail"]
+            # The daemon and the connection survive the failure.
+            assert client.ping()
+            assert client.submit_values(space="codesign",
+                                        indices=[2]) == serial_values([2])
 
     def test_stats_dashboard_shape(self, daemon):
         handle = daemon(max_wait_ms=10.0)

@@ -84,10 +84,7 @@ class TestBuiltinRegistries:
         cpu = PLATFORMS.build("embedded-cpu", "$", name="renamed")
         assert cpu.name == "renamed"
 
-    def test_workloads_match_legacy_dict(self):
-        from repro.benchmarksuite.workloads import WORKLOAD_BUILDERS
-
-        assert list(WORKLOAD_BUILDERS) == WORKLOADS.names()
+    def test_workloads_build_by_name(self):
         assert WORKLOADS.build("vio-navigation").name == \
             "vio-navigation"
 

@@ -103,6 +103,22 @@ class TestStreamingHistogram:
         histogram.record(-5.0)
         assert histogram.quantile(0.5) == 1e-3
 
+    # Dyadic values keep every running total exact, so totals compare
+    # with ==; 0.0 lands in the underflow bucket.
+    @pytest.mark.parametrize("value", [0.0, 2.0 ** -30, 0.375, 12.5])
+    def test_counted_record_equals_repeated_records(self, value):
+        counted = StreamingHistogram("counted")
+        single = StreamingHistogram("single")
+        for histogram in (counted, single):
+            histogram.record(0.25)
+        counted.record(value, count=8)
+        for _ in range(8):
+            single.record(value)
+        for field in ("count", "total", "min", "max"):
+            assert getattr(counted, field) == getattr(single, field)
+        for q in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0):
+            assert counted.quantile(q) == single.quantile(q), q
+
     def test_summary_keys(self):
         histogram = StreamingHistogram("h")
         histogram.record(1.0)
@@ -117,6 +133,8 @@ class TestStreamingHistogram:
             StreamingHistogram("h", min_value=0.0)
         with pytest.raises(TelemetryError):
             StreamingHistogram("h").quantile(1.5)
+        with pytest.raises(TelemetryError):
+            StreamingHistogram("h").record(1.0, count=0)
 
 
 class TestMetricsRegistry:
@@ -141,3 +159,22 @@ class TestMetricsRegistry:
         assert snap["depth"]["value"] == 2
         assert snap["lat"]["count"] == 1
         assert registry.names() == ["depth", "jobs", "lat"]
+
+    def test_value_reads_without_registering(self):
+        registry = MetricsRegistry()
+        assert registry.value("absent") == 0.0
+        registry.counter("jobs").inc(3)
+        registry.gauge("depth").set(2)
+        assert registry.value("jobs") == 3
+        assert registry.value("depth") == 2
+        assert registry.names() == ["depth", "jobs"]
+
+    def test_grouped_splits_counters_at_the_last_dot(self):
+        registry = MetricsRegistry()
+        registry.counter("t.a.hits").inc(2)
+        registry.counter("t.a.misses").inc()
+        registry.counter("t.b.c.hits").inc()
+        registry.histogram("t.a.wall_s").record(0.5)
+        registry.counter("other.a.hits").inc()
+        assert registry.grouped("t.") == {
+            "a": {"hits": 2, "misses": 1}, "b.c": {"hits": 1}}
