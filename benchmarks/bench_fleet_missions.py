@@ -7,9 +7,10 @@ magnitude at population sizes a study actually uses (>= 20x at 1k
 rollouts), while returning **exactly equal** :class:`MissionResult`
 values, field for field.
 
-Both paths get precomputed courses (planning is hoisted and shared —
-see ``plan_course``), so the speedup measured here is pure simulation:
-the dt-stepped Python chase loop versus three fused-numpy step counts.
+Both paths fly the same course from the process-wide course store
+(planned once per process — see :mod:`repro.system.courses`), so the
+speedup measured here is pure simulation: the dt-stepped Python chase
+loop versus three fused-numpy step counts.
 
 The measurement itself lives in the benchmark registry
 (:func:`repro.bench.builtin.run_fleet_missions` — the same runner

@@ -56,7 +56,6 @@ def run_batch_pricing(size: int) -> Dict[str, float]:
 # -- fleet missions ----------------------------------------------------
 
 _FLEET_CONFIG = None
-_FLEET_COURSES: Dict = {}
 _FLEET_ARENA = None
 
 
@@ -73,8 +72,8 @@ def _fleet_arena():
 
 
 def _fleet_config():
-    """The bench scenario: compact two-lap patrol, shared world + plan
-    (module-cached so every size reuses one course)."""
+    """The bench scenario: compact two-lap patrol over one shared world
+    (module-cached; its course is planned once, in the course store)."""
     global _FLEET_CONFIG
     if _FLEET_CONFIG is None:
         import numpy as np
@@ -120,12 +119,12 @@ _SCALAR_RATE: "float | None" = None
 
 
 def _scalar_results(sample):
-    from repro.system.fleet import ensure_course
+    from repro.system.courses import ensure_course
     from repro.system.mission import run_mission
 
+    course = ensure_course(_fleet_config())
     return [run_mission(r.config, r.platform, r.compute_mass_kg,
-                        r.compute_power_w,
-                        course=ensure_course(r.config, _FLEET_COURSES))
+                        r.compute_power_w, course=course)
             for r in sample]
 
 
@@ -168,20 +167,18 @@ def run_fleet_missions(size: int) -> Dict[str, float]:
     so every size divides by the same baseline."""
     from repro.system.fleet import run_fleet
 
-    cache = _FLEET_COURSES
     scalar_per_s = _scalar_rate()
     rollouts = _fleet_population(size)
     sample = rollouts[:min(size, _SCALAR_SAMPLE)]
     arena = _fleet_arena()
-    run_fleet(rollouts, course_cache=cache, arena=arena)  # warm arena
+    run_fleet(rollouts, arena=arena)  # warm arena
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         batch_per_s = 0.0
         for _ in range(_BATCH_REPS):
             started = time.perf_counter()
-            fleet = run_fleet(rollouts, course_cache=cache,
-                              arena=arena)
+            fleet = run_fleet(rollouts, arena=arena)
             batch_per_s = max(
                 batch_per_s, size / (time.perf_counter() - started))
     finally:
@@ -217,14 +214,13 @@ def run_arena_reuse(size: int) -> Dict[str, float]:
     from repro.engine.arena import BatchArena
     from repro.system.fleet import run_fleet
 
-    cache = _FLEET_COURSES
     rollouts = _fleet_population(size)
     arena = BatchArena()
     per_rollout = []
     grow_after_warmup = 0
     for generation in range(_ARENA_GENERATIONS):
         grows_before = arena.grow_bytes
-        fleet = run_fleet(rollouts, course_cache=cache, arena=arena)
+        fleet = run_fleet(rollouts, arena=arena)
         if generation > 0:
             grow_after_warmup += arena.grow_bytes - grows_before
         per_rollout.append(fleet.alloc_bytes_per_rollout)

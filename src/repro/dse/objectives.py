@@ -369,9 +369,8 @@ def _suite_objective_singleton(kind: str) -> "SuiteObjective":
 # Mission-in-the-loop objective (§2.4: score the *mission*, not the chip).
 # --------------------------------------------------------------------------
 
-#: Lazily-built mission setting shared by every candidate: the config,
-#: its planned course, and an :func:`repro.system.fleet.ensure_course`
-#: cache pre-seeded with that course (one per process, pool workers
+#: Lazily-built mission setting shared by every candidate: the config
+#: and its course from the course store (one per process, pool workers
 #: included).
 _MISSION = None
 
@@ -381,10 +380,12 @@ def mission_setting(*, extent: float = 60.0, n_obstacles: int = 24,
                     seed: int = 5):
     """Build a patrol scenario for :class:`MissionObjective`.
 
-    Returns the ``(config, course, cache)`` triple a parametric
-    :class:`MissionObjective` flies: the mission config, its planned
-    course, and an :func:`repro.system.fleet.ensure_course` cache
-    pre-seeded with that course (planning happens here, exactly once).
+    Returns the ``(config, course)`` pair a parametric
+    :class:`MissionObjective` flies: the mission config and its course,
+    resolved here through the process-wide course store
+    (:func:`repro.system.courses.ensure_course`), so equal settings
+    built twice plan once, and the fleet tier's ``run_fleet`` calls
+    find the course already stored.
 
     The defaults reproduce the shared scenario of the module-level
     :data:`mission_objective`.  Heavier settings — a larger world, more
@@ -395,8 +396,8 @@ def mission_setting(*, extent: float = 60.0, n_obstacles: int = 24,
     experiment sweep exactly that axis.
     """
     from repro.kernels.planning.occupancy import CircleWorld
-    from repro.system.fleet import course_key
-    from repro.system.mission import MissionConfig, plan_course
+    from repro.system.courses import ensure_course
+    from repro.system.mission import MissionConfig
 
     world = CircleWorld.random(
         dim=2, n_obstacles=n_obstacles, extent=extent,
@@ -408,9 +409,7 @@ def mission_setting(*, extent: float = 60.0, n_obstacles: int = 24,
         laps=laps,
         time_step_s=time_step_s,
     )
-    course = plan_course(config)
-    cache = {course_key(config): (world, course)}
-    return config, course, cache
+    return config, ensure_course(config)
 
 
 def _mission_setting():
@@ -418,8 +417,8 @@ def _mission_setting():
 
     A compact patrol world (60 m, two laps) keeps a single scalar
     evaluation cheap enough for search budgets while still exercising
-    the latency-speed-battery couplings; the course is planned exactly
-    once per process.
+    the latency-speed-battery couplings; the course comes from the
+    course store.
     """
     global _MISSION
     if _MISSION is None:
@@ -471,7 +470,7 @@ class MissionObjective:
     same contract :class:`SuiteObjective` keeps.
 
     Args:
-        setting: A ``(config, course, cache)`` triple from
+        setting: A ``(config, course)`` pair from
             :func:`mission_setting`, giving this instance its own
             scenario.  ``None`` (the default, and the module-level
             :data:`mission_objective` singleton) flies the shared
@@ -514,7 +513,7 @@ class MissionObjective:
     def __call__(self, config: Config) -> float:
         from repro.system.mission import run_mission
 
-        mission, course, _ = self._setting()
+        mission, course = self._setting()
         mass_kg, power_w = codesign_payload(config)
         result = run_mission(mission, build_platform(config), mass_kg,
                              power_w, course=course)
@@ -526,7 +525,7 @@ class MissionObjective:
         configs = list(configs)
         if not configs:
             return []
-        mission, _, cache = self._setting()
+        mission, _ = self._setting()
         rollouts = []
         for config in configs:
             mass_kg, power_w = codesign_payload(config)
@@ -537,7 +536,7 @@ class MissionObjective:
                 compute_mass_kg=mass_kg,
                 compute_power_w=power_w,
             ))
-        fleet = run_fleet(rollouts, course_cache=cache, arena=_arena())
+        fleet = run_fleet(rollouts, arena=_arena())
         budget_j = mission.battery.usable_energy_j
         return [_mission_score(result, budget_j)
                 for result in fleet.results]
@@ -564,7 +563,7 @@ class MissionObjective:
         configs = list(configs)
         if not configs:
             return []
-        mission, course, _ = self._setting()
+        mission, course = self._setting()
         cost = batch_estimate(encode_codesign(configs),
                               self._frame_soa(), arena=_arena())
         compute = cost.latency_s[:, 0]
@@ -637,7 +636,7 @@ _FRAME_SOA = None
 def _frame_profile_soa() -> ProfileSoA:
     global _FRAME_SOA
     if _FRAME_SOA is None:
-        mission, _, _ = _mission_setting()
+        mission, _ = _mission_setting()
         _FRAME_SOA = ProfileSoA.from_profiles([mission.frame_profile])
     return _FRAME_SOA
 

@@ -20,10 +20,10 @@ from repro.errors import PlanningError
 from repro.kernels.planning.occupancy import OccupancyGrid
 
 _SQRT2 = float(np.sqrt(2.0))
-_NEIGHBORS: Tuple[Tuple[int, int, float], ...] = (
-    (-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
-    (-1, -1, _SQRT2), (-1, 1, _SQRT2), (1, -1, _SQRT2), (1, 1, _SQRT2),
-)
+_INF = float("inf")
+
+#: ``state`` bytes of the padded flat grid :func:`astar` searches.
+_OPEN, _BLOCKED, _CLOSED = 0, 1, 2
 
 
 @dataclass
@@ -46,16 +46,19 @@ class AstarResult:
         return bool(self.path)
 
 
-def _octile(a: Tuple[int, int], b: Tuple[int, int]) -> float:
-    dr = abs(a[0] - b[0])
-    dc = abs(a[1] - b[1])
-    return max(dr, dc) + (_SQRT2 - 1.0) * min(dr, dc)
-
-
 def astar(grid: OccupancyGrid, start: Tuple[int, int],
           goal: Tuple[int, int],
           counter: Optional[OpCounter] = None) -> AstarResult:
     """A* over an occupancy grid with the octile-distance heuristic.
+
+    The search runs on a flat index of the grid padded with one blocked
+    cell on every side, so a neighbour is an integer offset and the
+    bounds test disappears.  One ``bytearray`` holds each cell's state
+    (open, blocked or closed).  Neighbours are tried in a fixed order
+    (the four orthogonal moves, then the four diagonals) and heap ties
+    break on a push counter, which fixes the pop order and so the
+    returned path.  The octile heuristic is evaluated only for pushed
+    cells, from per-row and per-column distances to the goal.
 
     Args:
         grid: The (already inflated) occupancy grid.
@@ -70,55 +73,100 @@ def astar(grid: OccupancyGrid, start: Tuple[int, int],
     if not grid.is_free(*goal):
         raise PlanningError(f"goal cell {goal} is not free")
 
-    open_heap: List[Tuple[float, int, Tuple[int, int]]] = []
-    g_cost = {start: 0.0}
-    parent = {start: start}
-    closed = set()
+    rows, cols = grid.shape
+    width = cols + 2
+    padded = np.ones((rows + 2, width), dtype=np.uint8)
+    padded[1:-1, 1:-1] = grid.cells != 0
+    state = bytearray(padded.tobytes())
+    size = len(state)
+    goal_r, goal_c = int(goal[0]), int(goal[1])
+    source = (int(start[0]) + 1) * width + int(start[1]) + 1
+    target = (goal_r + 1) * width + goal_c + 1
+    # Distances to the goal by padded row and by padded column.
+    row_gap = [abs(row - 1 - goal_r) for row in range(rows + 2)]
+    col_gap = [abs(col - 1 - goal_c) for col in range(width)]
+    # Octile distance is max(dr, dc) + extra * min(dr, dc).
+    extra = _SQRT2 - 1.0
+    # Moves are (offset, step, row move, column move); diagonals add
+    # the two orthogonal cells whose occupancy forbids cutting the
+    # corner.
+    orthogonal = ((-width, 1.0, -1, 0), (width, 1.0, 1, 0),
+                  (-1, 1.0, 0, -1), (1, 1.0, 0, 1))
+    diagonal = tuple((dr * width + dc, _SQRT2, dr, dc, dr * width, dc)
+                     for dr, dc in ((-1, -1), (-1, 1), (1, -1), (1, 1)))
+
+    g_cost = [_INF] * size
+    parent = [0] * size
+    g_cost[source] = 0.0
+    parent[source] = source
+    dr, dc = row_gap[source // width], col_gap[source % width]
+    open_heap: List[Tuple[float, int, int]] = [
+        (max(dr, dc) + extra * min(dr, dc), 0, source)]
+    push, pop = heapq.heappush, heapq.heappop
     tie = 0
-    heapq.heappush(open_heap, (_octile(start, goal), tie, start))
     expanded = 0
 
     while open_heap:
-        _, __, node = heapq.heappop(open_heap)
-        if node in closed:
+        node = pop(open_heap)[2]
+        if state[node] == _CLOSED:
             continue
-        closed.add(node)
+        state[node] = _CLOSED
         expanded += 1
-        if node == goal:
+        if node == target:
             break
-        for dr, dc, step in _NEIGHBORS:
-            nxt = (node[0] + dr, node[1] + dc)
-            if nxt in closed or not grid.is_free(*nxt):
+        base = g_cost[node]
+        row, col = divmod(node, width)
+        for offset, step, move_r, move_c in orthogonal:
+            nxt = node + offset
+            if state[nxt]:
                 continue
-            # Forbid diagonal moves that cut an occupied corner.
-            if dr != 0 and dc != 0:
-                if (not grid.is_free(node[0] + dr, node[1])
-                        or not grid.is_free(node[0], node[1] + dc)):
-                    continue
-            tentative = g_cost[node] + step
-            if tentative < g_cost.get(nxt, float("inf")):
+            tentative = base + step
+            if tentative < g_cost[nxt]:
                 g_cost[nxt] = tentative
                 parent[nxt] = node
                 tie += 1
-                heapq.heappush(
-                    open_heap, (tentative + _octile(nxt, goal), tie, nxt)
-                )
+                dr, dc = row_gap[row + move_r], col_gap[col + move_c]
+                if dr >= dc:
+                    estimate = dr + extra * dc
+                else:
+                    estimate = dc + extra * dr
+                push(open_heap, (tentative + estimate, tie, nxt))
+        for offset, step, move_r, move_c, side_r, side_c in diagonal:
+            nxt = node + offset
+            if (state[nxt] or state[node + side_r] == _BLOCKED
+                    or state[node + side_c] == _BLOCKED):
+                continue
+            tentative = base + step
+            if tentative < g_cost[nxt]:
+                g_cost[nxt] = tentative
+                parent[nxt] = node
+                tie += 1
+                dr, dc = row_gap[row + move_r], col_gap[col + move_c]
+                if dr >= dc:
+                    estimate = dr + extra * dc
+                else:
+                    estimate = dc + extra * dr
+                push(open_heap, (tentative + estimate, tie, nxt))
     if counter is not None:
         # ~8 neighbor evaluations per expansion, ~12 int ops each, plus
         # O(log n) heap compares.
         counter.add_int_ops(expanded * (8 * 12.0 + 2.0 * np.log2(expanded + 2)))
         counter.add_read(8.0 * expanded * 10)
         counter.add_write(8.0 * expanded * 4)
-        counter.note_working_set(8.0 * len(g_cost) * 4)
+        counter.note_working_set(8.0 * (size - g_cost.count(_INF)) * 4)
 
-    if goal not in closed:
-        return AstarResult(path=[], cost=float("inf"), expanded=expanded)
+    if state[target] != _CLOSED:
+        return AstarResult(path=[], cost=_INF, expanded=expanded)
 
-    path = [goal]
-    while path[-1] != start:
+    path = [target]
+    while path[-1] != source:
         path.append(parent[path[-1]])
     path.reverse()
-    return AstarResult(path=path, cost=g_cost[goal], expanded=expanded)
+    cells = []
+    for index in path:
+        row, col = divmod(index, width)
+        cells.append((row - 1, col - 1))
+    return AstarResult(path=cells, cost=g_cost[target], expanded=expanded)
 
 
 class GridPlanner:

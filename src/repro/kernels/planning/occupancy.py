@@ -154,17 +154,44 @@ class OccupancyGrid:
         return float(self.cells.mean())
 
     def add_circle(self, center, radius: float) -> None:
-        """Rasterize a circular obstacle into the grid."""
+        """Rasterize a circular obstacle into the grid.
+
+        A cell is occupied when its center lies within ``radius`` of
+        ``center`` (``dx*dx + dy*dy <= r*r``).  Only the cells of a
+        bounding box one cell wider than the circle on every side are
+        tested, which is conservative against the rounding of the
+        squared test.
+        """
         if radius < 0:
             raise ConfigurationError("radius must be >= 0")
         rows, cols = self.cells.shape
+        row_lo, row_hi = self._span(center[1] - self.origin[1], radius,
+                                    rows)
+        col_lo, col_hi = self._span(center[0] - self.origin[0], radius,
+                                    cols)
+        if row_lo >= row_hi or col_lo >= col_hi:
+            return
         ys = (self.origin[1]
-              + (np.arange(rows) + 0.5) * self.resolution)
+              + (np.arange(row_lo, row_hi) + 0.5) * self.resolution)
         xs = (self.origin[0]
-              + (np.arange(cols) + 0.5) * self.resolution)
+              + (np.arange(col_lo, col_hi) + 0.5) * self.resolution)
         dx = xs[None, :] - center[0]
         dy = ys[:, None] - center[1]
-        self.cells[dx * dx + dy * dy <= radius * radius] = 1
+        self.cells[row_lo:row_hi, col_lo:col_hi][
+            dx * dx + dy * dy <= radius * radius] = 1
+
+    def _span(self, offset: float, radius: float, n: int
+              ) -> Tuple[int, int]:
+        """Index range ``[lo, hi)`` of the cells along one axis whose
+        centers may lie within ``radius`` of a point ``offset`` meters
+        past the origin; the whole axis when the bounds are not
+        finite."""
+        lo = (offset - radius) / self.resolution - 0.5
+        hi = (offset + radius) / self.resolution - 0.5
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            return 0, n
+        return (max(0, int(np.floor(lo)) - 1),
+                min(n, int(np.ceil(hi)) + 2))
 
     def inflate(self, radius: float) -> "OccupancyGrid":
         """Return a copy with obstacles dilated by ``radius`` (meters) —

@@ -16,12 +16,15 @@ kernel.  Components:
 - :mod:`~repro.system.mission`   — closed-loop missions where compute
   latency limits safe speed and compute mass/power drains the battery
   (the §2.4 experiment);
+- :mod:`~repro.system.courses`   — the process-wide course store: each
+  distinct world/endpoint/radius/lap set is planned once per process;
 - :mod:`~repro.system.fleet`     — the vectorized fleet engine: whole
   rollout populations (tiers × scenarios × Monte Carlo perturbations)
   evaluated in closed form, exactly equal to per-rollout
   :func:`~repro.system.mission.run_mission`.
 """
 
+from repro.system.courses import ensure_course
 from repro.system.des import Event, Simulator
 from repro.system.faults import (
     FaultSchedule,
@@ -82,6 +85,7 @@ __all__ = [
     "StageStats",
     "UavPhysics",
     "camera",
+    "ensure_course",
     "imu",
     "lidar",
     "plan_course",

@@ -38,6 +38,13 @@ reason.  Two ingredients make this hold at the bits:
 The contract is enforced by ``tests/system/test_fleet.py`` and the
 hypothesis suite ``tests/props/test_property_fleet.py``.
 
+**Courses** are planned once per process, not once per call: the
+``fleet.plan`` phase resolves each rollout's course through the
+content-keyed store of :mod:`repro.system.courses`, with a per-call
+identity memo so a population sharing one world computes one content
+key.  Perturbations never touch the world, so every study after the
+first over the same scenario finds its course in the store.
+
 On top of the engine, :class:`FleetStudy` runs seeded Monte Carlo
 sweeps: per-trial perturbations of battery capacity, payload mass,
 sensor rate, and workload scale, shared across tiers (paired draws, so
@@ -51,9 +58,10 @@ operations, same association order, so the equivalence contract is
 untouched while steady-state sweeps stop allocating.  ``chunk_size``
 streams arbitrarily large populations through a fixed-size arena
 window.  ``jobs > 1`` sends each worker only its shard spec (config,
-tiers, a slice of the factor matrix) and takes back plain result
-columns, which the parent concatenates and emits once — no row objects
-cross the process boundary in either direction.
+tiers, a slice of the factor matrix) plus the course the parent
+resolved, so no worker plans, and takes back plain result columns,
+which the parent concatenates and emits once — no row objects cross
+the process boundary in either direction.
 """
 
 from __future__ import annotations
@@ -73,12 +81,8 @@ from repro.hw.batch import (
     is_soa_priceable,
 )
 from repro.hw.platform import Platform
-from repro.system.mission import (
-    Course,
-    MissionConfig,
-    MissionResult,
-    plan_course,
-)
+from repro.system.courses import ensure_course, lookup_course, pin_course
+from repro.system.mission import Course, MissionConfig, MissionResult
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import get_alloc_meter
 from repro.telemetry.tracer import get_tracer
@@ -90,7 +94,6 @@ __all__ = [
     "FleetStudy",
     "FleetStudyResult",
     "TierStatistics",
-    "course_key",
     "ensure_course",
     "run_fleet",
     "tier_rollouts",
@@ -99,45 +102,6 @@ __all__ = [
 #: ``(tier name, platform, mass_kg, power_w)`` — the ladder row shape
 #: shared with :func:`~repro.system.mission.sweep_compute_tiers`.
 Tier = Tuple[str, Platform, float, float]
-
-
-# -- course sharing ----------------------------------------------------
-
-def course_key(config: MissionConfig) -> Tuple:
-    """Cache key for the planning inputs of a mission config.
-
-    Perturbing battery/payload/sensor/workload leaves the planned course
-    untouched; only the world, endpoints, inflation radius, and lap
-    count matter.  The world participates by identity (worlds are
-    arrays; hashing contents would cost more than planning saves).
-    """
-    return (
-        id(config.world),
-        tuple(np.asarray(config.start, dtype=float).tolist()),
-        tuple(np.asarray(config.goal, dtype=float).tolist()),
-        float(config.robot_radius_m),
-        int(config.laps),
-    )
-
-
-def ensure_course(config: MissionConfig,
-                  cache: Optional[Dict[Tuple, Tuple[object, Course]]] = None,
-                  ) -> Course:
-    """Plan the config's course, reusing ``cache`` across calls.
-
-    The cache maps :func:`course_key` to ``(world, course)``; keeping
-    the world object in the entry pins its ``id`` so a recycled id from
-    a garbage-collected world can never alias a stale course.
-    """
-    if cache is None:
-        return plan_course(config)
-    key = course_key(config)
-    entry = cache.get(key)
-    if entry is not None and entry[0] is config.world:
-        return entry[1]
-    course = plan_course(config)
-    cache[key] = (config.world, course)
-    return course
 
 
 # -- the rollout population -------------------------------------------
@@ -304,7 +268,6 @@ _RESULT_COLUMNS: Tuple[str, ...] = (
 
 def run_fleet(rollouts: Sequence[FleetRollout], *,
               metrics: Optional[MetricsRegistry] = None,
-              course_cache: Optional[Dict] = None,
               arena: Optional[BatchArena] = None,
               chunk_size: Optional[int] = None) -> FleetResult:
     """Evaluate a whole rollout population in fused numpy.
@@ -317,9 +280,6 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
         metrics: Optional registry receiving ``fleet.rollouts``,
             ``fleet.batch_hits``, ``fleet.batch_fallbacks``, and (when
             chunked) ``fleet.chunks`` / ``fleet.arena_occupancy_pct``.
-        course_cache: Optional :func:`ensure_course` cache, shared
-            across calls; a fresh private one is used by default (so
-            rollouts sharing a world still plan only once per call).
         arena: Optional :class:`~repro.engine.arena.BatchArena` the
             solve phase writes its columns into — bit-identical to the
             allocating path; pass the same arena across calls to stop
@@ -331,7 +291,13 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
             engine's working set to ``O(chunk_size)`` instead of
             ``O(n)``.  Results are identical (rollouts are independent;
             chunking changes only where columns land).  A private arena
-            and course cache are created if none were passed.
+            is created if none was passed.
+
+    Courses come from the process-wide store
+    (:func:`~repro.system.courses.ensure_course`), asked once per
+    distinct ``(world, start, goal, radius, laps)`` identity in the
+    population; the ``fleet.plan`` span records how many courses this
+    call ``planned`` and how many it ``reused`` from the store.
 
     Returns:
         A :class:`FleetResult` whose per-rollout results are exactly
@@ -344,15 +310,13 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
     chunks = 0
     with get_tracer().wall_span("fleet.run", track="fleet") as span:
         if chunk_size is None or chunk_size >= len(rollouts):
-            result = _run_fleet(rollouts, course_cache, arena)
+            result = _run_fleet(rollouts, arena)
         else:
             if arena is None:
                 arena = BatchArena()
-            if course_cache is None:
-                course_cache = {}
             chunks = -(-len(rollouts) // chunk_size)
             result = _emit_fleet(rollouts, *_solve_windows(
-                rollouts, chunk_size, course_cache, arena))
+                rollouts, chunk_size, {}, arena))
     _publish(result, span, metrics,
              **({"chunks": chunks} if chunks else {}))
     if chunks and metrics is not None:
@@ -386,13 +350,11 @@ def _publish(result: FleetResult, span,
 
 
 def _run_fleet(rollouts: Tuple[FleetRollout, ...],
-               course_cache: Optional[Dict],
                arena: Optional[BatchArena] = None) -> FleetResult:
     if not rollouts:
         return FleetResult(rollouts=(), results=(), batch_priced=0,
                            scalar_fallback=0)
-    return _emit_fleet(rollouts, *_solve_fleet(rollouts, course_cache,
-                                               arena))
+    return _emit_fleet(rollouts, *_solve_fleet(rollouts, {}, arena))
 
 
 def _emit_fleet(rollouts: Tuple[FleetRollout, ...],
@@ -407,11 +369,14 @@ def _emit_fleet(rollouts: Tuple[FleetRollout, ...],
                        alloc_bytes=alloc_bytes)
 
 
-def _solve_fleet(rollouts: Tuple[FleetRollout, ...],
-                 course_cache: Optional[Dict],
+def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
                  arena: Optional[BatchArena],
                  ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
     """Plan, gather, price, and solve one population into columns.
+
+    ``memo`` is the caller's identity memo of
+    :func:`~repro.system.courses.lookup_course`, shared by every window
+    of one call so the course store is asked once per distinct world.
 
     Returns ``(columns, batch_priced, scalar_fallback, alloc_bytes)``
     where ``columns`` maps each :data:`_RESULT_COLUMNS` name to its
@@ -426,11 +391,21 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...],
     n = len(rollouts)
     ws = Workspace(arena, "fleet.")
     tracer = get_tracer()
-    if course_cache is None:
-        course_cache = {}
-    with tracer.profile_span("fleet.plan", track="fleet"):
-        courses = [ensure_course(r.config, course_cache)
-                   for r in rollouts]
+    with tracer.profile_span("fleet.plan", track="fleet") as span:
+        courses = []
+        planned = reused = 0
+        config = course = None
+        for rollout in rollouts:
+            # A study's tiers share each trial's config object.
+            if rollout.config is not config:
+                config = rollout.config
+                course, fresh = lookup_course(config, memo)
+                if fresh is not None:
+                    planned += fresh
+                    reused += not fresh
+            courses.append(course)
+        if tracer.enabled:
+            span.args = {"planned": planned, "reused": reused}
 
     # Per-rollout scalar inputs.  hover_power stays a scalar Python call
     # on purpose: numpy's SIMD `x ** 1.5` rounds differently from
@@ -662,7 +637,7 @@ def _emit_results(columns: Dict[str, np.ndarray]
 
 
 def _solve_windows(rollouts: Tuple[FleetRollout, ...], chunk_size: int,
-                   course_cache: Dict, arena: BatchArena,
+                   memo: Dict, arena: BatchArena,
                    ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
     """:func:`_solve_fleet` through ``chunk_size``-rollout arena windows.
 
@@ -676,7 +651,7 @@ def _solve_windows(rollouts: Tuple[FleetRollout, ...], chunk_size: int,
     batch_priced = scalar_fallback = alloc_bytes = 0
     for lo in range(0, n, chunk_size):
         columns, priced, fell_back, nbytes = _solve_fleet(
-            rollouts[lo:lo + chunk_size], course_cache, arena)
+            rollouts[lo:lo + chunk_size], memo, arena)
         for name in _RESULT_COLUMNS:
             column = columns[name]
             if name not in out:
@@ -689,21 +664,26 @@ def _solve_windows(rollouts: Tuple[FleetRollout, ...], chunk_size: int,
 
 
 def _run_shard(task: Tuple[MissionConfig, Tuple[Tier, ...], np.ndarray,
-                           Optional[int]],
+                           Optional[int], Course],
                ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
     """Process-pool entry point for one contiguous trial range.
 
-    ``task`` is ``(config, tiers, factors, chunk_size)`` — the shard's
-    *spec*, with ``factors`` the shard's rows of the study's factor
-    matrix.  The worker rebuilds its rollouts exactly as the parent's
+    ``task`` is ``(config, tiers, factors, chunk_size, course)`` — the
+    shard's *spec*, with ``factors`` the shard's rows of the study's
+    factor matrix and ``course`` the course the parent resolved for
+    ``config``.  The worker pins that course in its memo (perturbed
+    configs share ``config``'s world and endpoints, so it never plans),
+    rebuilds its rollouts exactly as the parent's
     :meth:`FleetStudy.rollouts` would, solves them with a private arena,
     and returns plain result columns plus counts; no row objects cross
     the process boundary in either direction.
     """
-    config, tiers, factors, chunk_size = task
+    config, tiers, factors, chunk_size, course = task
+    memo: Dict = {}
+    pin_course(memo, config, course)
     shard = tuple(_perturbed_population(config, tiers, factors,
                                         0, len(factors)))
-    return _solve_windows(shard, chunk_size or len(shard), {},
+    return _solve_windows(shard, chunk_size or len(shard), memo,
                           BatchArena())
 
 
@@ -895,9 +875,9 @@ class FleetStudy:
         Args:
             jobs: Process-pool width.  ``jobs > 1`` splits the trials
                 into ``min(jobs, trials)`` contiguous shards; shards are
-                independent, so results are identical to the serial run
-                (each shard re-plans the shared course once — planning,
-                not simulation, is the only duplicated work).
+                independent, so results are identical to the serial run.
+                The parent resolves the shared course before fan-out and
+                ships it with each shard, so no worker plans.
             metrics: Optional registry for the ``fleet.*`` counters.
             chunk_size: Stream the population (or each shard) through a
                 fixed-size arena window of at most this many rollouts,
@@ -924,23 +904,31 @@ class FleetStudy:
                      metrics: Optional[MetricsRegistry]) -> FleetResult:
         """Solve contiguous trial ranges in a process pool.
 
-        Each task carries only its shard spec (see :func:`_run_shard`)
-        and comes back as result columns; the parent concatenates them
-        in shard order and emits once.  Bit-identical to serial: same
-        factor bytes, same solve, same emit.  The tasks are submitted
-        before the parent builds its own copy of the population (which
-        :class:`FleetResult` carries), so the workers start from a small
-        parent heap and that build overlaps their solves.
+        Each task carries only its shard spec and the course the parent
+        resolved (see :func:`_run_shard`) and comes back as result
+        columns; the parent concatenates them in shard order and emits
+        once.  Bit-identical to serial: same factor bytes, same solve,
+        same emit.  The tasks are submitted before the parent builds its
+        own copy of the population (which :class:`FleetResult` carries),
+        so the workers start from a small parent heap and that build
+        overlaps their solves.
         """
         factors = self.factors()
         workers = min(jobs, self.trials)
         cuts = [self.trials * w // workers for w in range(workers + 1)]
         tiers = tuple(self.tiers)
-        tasks = [(self.config, tiers, factors[lo:hi], chunk_size)
-                 for lo, hi in zip(cuts, cuts[1:])]
         # Workers run without a tracer: span the fan-out from the
         # parent so --trace-out still sees the run.
-        with get_tracer().wall_span("fleet.run", track="fleet") as span:
+        tracer = get_tracer()
+        with tracer.wall_span("fleet.run", track="fleet") as span:
+            with tracer.profile_span("fleet.plan",
+                                     track="fleet") as plan_span:
+                course, planned = lookup_course(self.config)
+                if tracer.enabled:
+                    plan_span.args = {"planned": int(planned),
+                                      "reused": int(not planned)}
+            tasks = [(self.config, tiers, factors[lo:hi], chunk_size,
+                      course) for lo, hi in zip(cuts, cuts[1:])]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 pending = pool.map(_run_shard, tasks)
                 population = self.rollouts()

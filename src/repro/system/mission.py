@@ -187,7 +187,10 @@ class Course:
     are *tier-independent*: every compute tier (and every battery /
     payload / sensor perturbation of the same scenario) flies the same
     polyline.  Planning once and reusing the :class:`Course` is what
-    makes tier sweeps and fleet rollouts cheap; the precomputed
+    makes tier sweeps and fleet rollouts cheap: the process-wide store
+    of :mod:`repro.system.courses` keeps one course per distinct set of
+    planning inputs, with every array set read-only because all its
+    users share it.  The precomputed
     cumulative lengths are also the single source of truth both the
     scalar chase loop and the vectorized fleet engine consume, so their
     per-step semantics cannot drift apart.
@@ -214,8 +217,16 @@ class Course:
         return len(self.waypoints)
 
 
+#: Occupancy-grid cell size (meters) missions plan their course on.
+PLAN_RESOLUTION_M = 0.2
+
+
 def plan_course(config: MissionConfig) -> Course:
-    """Rasterize, plan, and lap-expand the mission course once.
+    """Rasterize, plan, and lap-expand the mission course.
+
+    This always plans; callers that may see the same planning inputs
+    again resolve courses through
+    :func:`repro.system.courses.ensure_course` instead.
 
     Raises:
         ConfigurationError: For non-2-D worlds.
@@ -223,7 +234,8 @@ def plan_course(config: MissionConfig) -> Course:
     """
     if config.world.dim != 2:
         raise ConfigurationError("missions require a 2-D world")
-    grid = OccupancyGrid.from_world(config.world, resolution=0.2)
+    grid = OccupancyGrid.from_world(config.world,
+                                    resolution=PLAN_RESOLUTION_M)
     planner = GridPlanner(grid, robot_radius=config.robot_radius_m)
     plan = planner.plan(config.start, config.goal)
     if not plan.found:
@@ -267,15 +279,19 @@ def run_mission(config: MissionConfig, platform: Platform,
         compute_mass_kg: Module mass added to the airframe.
         compute_power_w: Module power draw while flying.
         course: Optional precomputed :func:`plan_course` output for this
-            exact config (world, endpoints, radius, laps); sweeps pass
-            it to plan once instead of once per tier.
+            exact config (world, endpoints, radius, laps).  ``None``
+            resolves it through the process-wide course store
+            (:func:`repro.system.courses.ensure_course`), so repeated
+            missions over one world plan it once.
 
     Returns:
         A :class:`MissionResult`; never raises on mission failure (that
         is an outcome, not an error).
     """
     if course is None:
-        course = plan_course(config)
+        from repro.system.courses import ensure_course
+
+        course = ensure_course(config)
 
     latency = pipeline_latency_s(platform, config.frame_profile,
                                  config.sensor_rate_hz,
@@ -345,7 +361,8 @@ def sweep_compute_tiers(
     :func:`repro.hw.catalog.uav_compute_tiers`).
 
     The occupancy-grid rasterization and A* plan are tier-independent,
-    so the sweep plans the course once and reuses it for every tier.
+    so the sweep resolves the course once (through the course store
+    when ``course`` is ``None``) and reuses it for every tier.
 
     Returns:
         ``(tier name, result)`` pairs in the given order.
@@ -353,7 +370,9 @@ def sweep_compute_tiers(
     if not tiers:
         raise ConfigurationError("need at least one tier")
     if course is None:
-        course = plan_course(config)
+        from repro.system.courses import ensure_course
+
+        course = ensure_course(config)
     return [
         (name, run_mission(config, platform, mass, power, course=course))
         for name, platform, mass, power in tiers

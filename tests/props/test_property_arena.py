@@ -84,7 +84,6 @@ _WORLD = CircleWorld.random(dim=2, n_obstacles=10, extent=25.0,
                             keep_corners_free=3.0)
 _BASE = MissionConfig(world=_WORLD, start=np.array([1.0, 1.0]),
                       goal=np.array([23.0, 23.0]))
-_COURSES = {}
 
 #: A pool of perturbed studies; generations draw rollout prefixes of
 #: varying length from it so population size changes across calls.
@@ -100,8 +99,8 @@ def test_arena_reuse_bit_identical_run_fleet(sizes):
     arena = BatchArena()
     for size in sizes:
         rollouts = _POOL[:size]
-        reused = run_fleet(rollouts, course_cache=_COURSES, arena=arena)
-        fresh = run_fleet(rollouts, course_cache=_COURSES)
+        reused = run_fleet(rollouts, arena=arena)
+        fresh = run_fleet(rollouts)
         # MissionResult is a plain dataclass of Python scalars: strict
         # equality is bit-identity here.
         assert reused.results == fresh.results
@@ -114,8 +113,8 @@ def test_shrink_then_grow_never_corrupts():
     arena = BatchArena()
     for size in (12, 1, 12, 3, len(_POOL)):
         rollouts = _POOL[:size]
-        reused = run_fleet(rollouts, course_cache=_COURSES, arena=arena)
-        fresh = run_fleet(rollouts, course_cache=_COURSES)
+        reused = run_fleet(rollouts, arena=arena)
+        fresh = run_fleet(rollouts)
         assert reused.results == fresh.results
     assert arena.grows >= 1 and arena.reuses >= 1
 

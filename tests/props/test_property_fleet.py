@@ -11,9 +11,10 @@ ladder plus a non-SoA-priceable platform that forces the scalar pricing
 fallback.
 
 Planning is hoisted deliberately (the contract is about simulation, not
-search): worlds and courses are fixed per lap count and shared through
-a course cache, so hypothesis explores the simulation parameter space
-densely instead of re-running A* per example.
+search): worlds and courses are fixed per lap count and come from the
+course store through one identity memo, so hypothesis explores the
+simulation parameter space densely instead of re-running A* per
+example.
 """
 
 import dataclasses
@@ -108,7 +109,7 @@ def test_batch_equals_scalar_field_for_field(params):
                            compute_mass_kg=mass * params["mass_factor"],
                            compute_power_w=power)
     course = ensure_course(config, _COURSES)
-    fleet = run_fleet([rollout], course_cache=_COURSES)
+    fleet = run_fleet([rollout])
     scalar = run_mission(config, platform, rollout.compute_mass_kg,
                          power, course=course)
     batch = fleet.results[0]
@@ -133,7 +134,7 @@ def test_mixed_population_equals_scalar(params):
             name=f"prop-{i}", config=_config_for(p), platform=platform,
             compute_mass_kg=mass * p["mass_factor"],
             compute_power_w=power))
-    fleet = run_fleet(rollouts, course_cache=_COURSES)
+    fleet = run_fleet(rollouts)
     for rollout, batch in zip(rollouts, fleet.results):
         scalar = run_mission(
             rollout.config, rollout.platform, rollout.compute_mass_kg,

@@ -7,6 +7,8 @@ for determinism, paired draws, grouping, and parallel-shard identity.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,12 +18,12 @@ from repro.hw import uav_compute_tiers
 from repro.hw.batch import is_soa_priceable
 from repro.hw.platform import AnalyticalPlatform, PlatformConfig
 from repro.kernels.planning import CircleWorld
+from repro.system import courses
 from repro.system.fleet import (
     FleetPerturbation,
     FleetRollout,
     FleetStudy,
     _first_count,
-    course_key,
     ensure_course,
     run_fleet,
     tier_rollouts,
@@ -31,7 +33,7 @@ from repro.system.mission import (
     plan_course,
     run_mission,
 )
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, Tracer, use_tracer
 from repro.telemetry.profiling import (
     get_alloc_meter,
     measure_allocations,
@@ -162,27 +164,144 @@ class TestEquivalence:
             tier_rollouts(config, [])
 
 
-class TestCourseSharing:
-    def test_cache_plans_once(self, config):
-        cache = {}
-        first = ensure_course(config, cache)
-        second = ensure_course(config, cache)
-        assert second is first
+@pytest.fixture
+def store(monkeypatch):
+    """An empty course store for one test, with a count of plans."""
+    plans = []
 
-    def test_cache_rejects_stale_world_identity(self, config, world):
-        stale = object()
-        cache = {course_key(config): (object(), stale)}
-        course = ensure_course(config, cache)
-        assert course is not stale
-        assert cache[course_key(config)][0] is world
+    def counting_plan(config):
+        plans.append(None)  # holding the config would pin its world
+        return plan_course(config)
 
-    def test_key_distinguishes_laps(self, config):
-        more_laps = dataclasses.replace(config, laps=config.laps + 1)
-        assert course_key(config) != course_key(more_laps)
+    monkeypatch.setattr(courses, "_STORE", {})
+    monkeypatch.setattr(courses, "plan_course", counting_plan)
+    return plans
 
-    def test_no_cache_replans(self, config):
-        assert ensure_course(config, None) is not \
-            ensure_course(config, None)
+
+def _mission(seed=5, **changes):
+    world = CircleWorld.random(dim=2, n_obstacles=12, extent=30.0,
+                               radius_range=(1.0, 2.0), seed=seed,
+                               keep_corners_free=3.0)
+    fields = {"world": world, "start": np.array([1.0, 1.0]),
+              "goal": np.array([28.0, 28.0]), **changes}
+    return MissionConfig(**fields)
+
+
+class TestCourseStore:
+    def test_equal_worlds_share_one_entry(self, store):
+        first, twin = _mission(), _mission()
+        assert first.world is not twin.world
+        assert ensure_course(twin) is ensure_course(first)
+        assert len(store) == 1 and len(courses._STORE) == 1
+
+    @pytest.mark.parametrize("changes", [
+        {"world": CircleWorld.random(dim=2, n_obstacles=12, extent=30.0,
+                                     radius_range=(1.0, 2.0), seed=6,
+                                     keep_corners_free=3.0)},
+        {"start": np.array([1.5, 1.0])},
+        {"goal": np.array([27.0, 28.0])},
+        {"robot_radius_m": 0.5},
+        {"laps": 3},
+    ], ids=["world", "start", "goal", "radius", "laps"])
+    def test_any_planning_input_change_misses(self, store, changes):
+        base = ensure_course(_mission())
+        other = ensure_course(_mission(**changes))
+        assert other is not base
+        assert len(store) == 2
+
+    def test_perturbations_outside_planning_hit(self, store):
+        config = _mission()
+        course = ensure_course(config)
+        for changed in (dataclasses.replace(config, sensor_rate_hz=12.0),
+                        dataclasses.replace(config, time_step_s=0.01)):
+            assert ensure_course(changed) is course
+        assert len(store) == 1
+
+    def test_bound_evicts_oldest(self, store, monkeypatch):
+        monkeypatch.setattr(courses, "COURSE_STORE_SIZE", 2)
+        first, second, third = (_mission(laps=n) for n in (1, 2, 3))
+        ensure_course(first)
+        ensure_course(second)
+        ensure_course(third)
+        assert len(courses._STORE) == 2 and len(store) == 3
+        ensure_course(second)
+        ensure_course(third)
+        assert len(store) == 3
+        ensure_course(first)
+        assert len(store) == 4
+
+    def test_stored_course_is_read_only(self, store):
+        course = ensure_course(_mission())
+        for array in (course.waypoints, course.start,
+                      course.cumulative_m):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_memo_asks_the_store_once_per_identity(self, store,
+                                                   monkeypatch):
+        keys = []
+        content_key = courses._content_key
+        monkeypatch.setattr(courses, "_content_key",
+                            lambda c: keys.append(1) or content_key(c))
+        config = _mission()
+        memo = {}
+        perturbed = [dataclasses.replace(config, sensor_rate_hz=r)
+                     for r in (10.0, 20.0, 30.0)]
+        found = {id(ensure_course(c, memo)) for c in perturbed}
+        assert len(found) == 1 and len(keys) == 1
+
+    def test_memo_never_aliases_a_recycled_id(self, store):
+        memo = {}
+        first = _mission(seed=5)
+        course = ensure_course(first, memo)
+        pinned = weakref.ref(first.world)
+        del first
+        gc.collect()
+        # The memo keeps the world alive, so its id cannot be reused
+        # by any world built while the memo lives.
+        assert pinned() is not None
+        for seed in (6, 7, 8):
+            other = _mission(seed=seed)
+            got = ensure_course(other, memo)
+            assert got is not course
+            assert np.array_equal(got.waypoints,
+                                  plan_course(other).waypoints)
+
+    def test_run_mission_resolves_through_the_store(self, store, tiers):
+        config = _mission()
+        _, platform, mass, power = tiers[0]
+        run_mission(config, platform, mass, power)
+        run_mission(config, platform, mass, power)
+        assert len(store) == 1
+
+
+def _plan_spans(tracer):
+    return [span.args for span in tracer.spans
+            if span.name == "fleet.plan"]
+
+
+class TestPlanTrace:
+    def test_cold_then_warm_study(self, store, tiers):
+        study = FleetStudy(config=_mission(), tiers=tiers, trials=3,
+                           seed=1)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            cold = study.run()
+        assert _plan_spans(tracer) == [{"planned": 1, "reused": 0}]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            warm = study.run()
+        assert _plan_spans(tracer) == [{"planned": 0, "reused": 1}]
+        assert warm.to_rows() == cold.to_rows()
+
+    def test_sharded_study_plans_in_the_parent(self, store, tiers):
+        study = FleetStudy(config=_mission(), tiers=tiers, trials=4,
+                           seed=1)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            study.run(jobs=2)
+        assert _plan_spans(tracer) == [{"planned": 1, "reused": 0}]
+        assert len(store) == 1
 
 
 class TestTelemetry:

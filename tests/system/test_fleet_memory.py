@@ -14,7 +14,14 @@ from repro.engine.arena import BatchArena
 from repro.errors import ConfigurationError
 from repro.hw.catalog import uav_compute_tiers
 from repro.kernels.planning import CircleWorld
-from repro.system.fleet import FleetStudy, run_fleet
+from repro.system import courses
+from repro.system.fleet import (
+    FleetStudy,
+    _run_shard,
+    _solve_windows,
+    run_fleet,
+)
+from repro.system.mission import plan_course
 from repro.telemetry.metrics import MetricsRegistry
 
 _WORLD = CircleWorld.random(dim=2, n_obstacles=10, extent=25.0,
@@ -31,47 +38,39 @@ def config():
 
 
 @pytest.fixture(scope="module")
-def courses():
-    return {}
-
-
-@pytest.fixture(scope="module")
 def population(config):
     return FleetStudy(config=config, tiers=uav_compute_tiers(),
                       trials=5, seed=7).rollouts()
 
 
 class TestChunkedRunFleet:
-    def test_chunked_equals_unchunked(self, population, courses):
-        whole = run_fleet(population, course_cache=courses)
+    def test_chunked_equals_unchunked(self, population):
+        whole = run_fleet(population)
         for chunk_size in (1, 3, 7, len(population), 10_000):
-            chunked = run_fleet(population, course_cache=courses,
-                                chunk_size=chunk_size)
+            chunked = run_fleet(population, chunk_size=chunk_size)
             assert chunked.results == whole.results
             assert chunked.batch_priced == whole.batch_priced
             assert chunked.scalar_fallback == whole.scalar_fallback
             assert chunked.alloc_bytes == whole.alloc_bytes
 
-    def test_chunked_with_shared_arena(self, population, courses):
+    def test_chunked_with_shared_arena(self, population):
         arena = BatchArena()
-        whole = run_fleet(population, course_cache=courses)
-        chunked = run_fleet(population, course_cache=courses,
-                            arena=arena, chunk_size=4)
+        whole = run_fleet(population)
+        chunked = run_fleet(population, arena=arena, chunk_size=4)
         assert chunked.results == whole.results
         assert arena.grows > 0
 
-    def test_chunk_telemetry(self, population, courses):
+    def test_chunk_telemetry(self, population):
         metrics = MetricsRegistry()
-        run_fleet(population, course_cache=courses, chunk_size=4,
-                  metrics=metrics)
+        run_fleet(population, chunk_size=4, metrics=metrics)
         snapshot = metrics.snapshot()
         expected = -(-len(population) // 4)  # ceil division
         assert snapshot["fleet.chunks"]["value"] == expected
         assert 0 < snapshot["fleet.arena_occupancy_pct"]["value"] <= 100
 
-    def test_no_chunk_metrics_when_unchunked(self, population, courses):
+    def test_no_chunk_metrics_when_unchunked(self, population):
         metrics = MetricsRegistry()
-        run_fleet(population, course_cache=courses, metrics=metrics)
+        run_fleet(population, metrics=metrics)
         assert "fleet.chunks" not in metrics.snapshot()
 
     def test_invalid_chunk_size(self, population):
@@ -117,6 +116,30 @@ class TestStudyJobs:
         chunked = study.run(chunk_size=2)
         assert chunked.fleet.results == serial.fleet.results
         assert chunked.statistics == serial.statistics
+
+    @pytest.mark.parametrize("chunk_size", [None, 3])
+    def test_shard_never_plans(self, study, chunk_size, monkeypatch):
+        """A shard flies the course its task carries: with planning
+        disabled and an empty course store, it still returns the
+        columns the parent's own solve gives."""
+        factors = study.factors()
+        tiers = tuple(study.tiers)
+        rollouts = tuple(study.rollouts())
+        course = plan_course(study.config)
+        expected = _solve_windows(rollouts, chunk_size or len(rollouts),
+                                  {}, BatchArena())
+
+        def refuse(config):
+            raise AssertionError("a shard worker planned a course")
+
+        monkeypatch.setattr(courses, "_STORE", {})
+        monkeypatch.setattr(courses, "plan_course", refuse)
+        columns, priced, fell_back, nbytes = _run_shard(
+            (study.config, tiers, factors, chunk_size, course))
+        assert set(columns) == set(expected[0])
+        for name, column in expected[0].items():
+            np.testing.assert_array_equal(columns[name], column)
+        assert (priced, fell_back, nbytes) == expected[1:]
 
     def test_invalid_chunk_size_rejected(self, study):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,8 @@
 """Unit tests for closed-loop missions (the §2.4 experiment core)."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,3 +220,39 @@ class TestCourseReuse:
     def test_empty_tiers_rejected(self, config):
         with pytest.raises(ConfigurationError):
             sweep_compute_tiers(config, [])
+
+
+#: sha256 of ``waypoints.tobytes()`` for the planned courses of two
+#: shipped scenarios, recorded from the tuple-keyed scalar A* and
+#: full-grid rasterizer the flat-index planner replaced.
+_GOLDEN_COURSES = {
+    "fleet_montecarlo":
+        "fa2179e1404f96feb854b18585fd54222ed4244e5ba5cc2e75ac2cb210d6515f",
+    "mission_setting":
+        "eddb4272f5d71652b9e8f23f9b51d34e957713e446031837fef7d59621a752fc",
+}
+
+
+class TestGoldenCourses:
+    """The planner's speed-ups never move a waypoint."""
+
+    @staticmethod
+    def _digest(course) -> str:
+        return hashlib.sha256(course.waypoints.tobytes()).hexdigest()
+
+    def test_fleet_montecarlo_scenario(self):
+        from repro.spec import load_scenario
+
+        path = (Path(__file__).resolve().parents[2] / "examples"
+                / "scenarios" / "fleet_montecarlo.json")
+        config = load_scenario(str(path)).run.config
+        assert self._digest(plan_course(config)) == \
+            _GOLDEN_COURSES["fleet_montecarlo"]
+
+    def test_default_mission_setting(self):
+        from repro.dse.objectives import mission_setting
+
+        config, course = mission_setting()
+        assert self._digest(course) == _GOLDEN_COURSES["mission_setting"]
+        assert self._digest(plan_course(config)) == \
+            _GOLDEN_COURSES["mission_setting"]
