@@ -51,27 +51,35 @@ sensor rate, and workload scale, shared across tiers (paired draws, so
 tier comparisons see the same weather), summarized per tier as success
 rates and p50/p90/p99 mission-time / energy statistics.
 
-**Memory architecture** (PR 7): the solve phase writes every column
+**Memory architecture**: the solve phase writes every column
 through explicit ``out=`` ufunc calls into a
 :class:`~repro.engine.arena.BatchArena` when one is supplied — same
 operations, same association order, so the equivalence contract is
 untouched while steady-state sweeps stop allocating.  ``chunk_size``
 streams arbitrarily large populations through a fixed-size arena
-window.  ``jobs > 1`` sends each worker only its shard spec (config,
-tiers, a slice of the factor matrix) plus the course the parent
-resolved, so no worker plans, and takes back plain result columns,
-which the parent concatenates and emits once — no row objects cross
-the process boundary in either direction.
+window.  A study never builds per-rollout objects on its critical
+path: its population is a view over the ``(trials, 4)`` factor
+matrix, gathered and priced as columns straight from that matrix, and
+:class:`FleetResult` owns plain result columns that become
+:class:`MissionResult` rows only when a caller reads them.  ``jobs >
+1`` sends each worker only its shard spec (config, tiers, a slice of
+the factor matrix) plus the course the parent resolved, so no worker
+plans, and takes back plain result columns, which the parent
+concatenates — no row objects are built on either side of the process
+boundary.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.profile import DIVERGENCE_DERATING
 from repro.engine.arena import BatchArena, Workspace
 from repro.errors import ConfigurationError
 from repro.hw.batch import (
@@ -141,18 +149,26 @@ def tier_rollouts(config: MissionConfig,
 class FleetResult:
     """A priced fleet population.
 
+    The engine's output is columnar: ``results`` is a read-only view
+    over result columns the result owns, and rows are built only when
+    read (``len`` never builds one, ``results[i]`` builds one, iteration
+    builds them all in one bulk pass).
+
     Attributes:
-        rollouts: The population, exactly as submitted.
-        results: Per-rollout :class:`MissionResult`, in input order,
-            each exactly equal to ``run_mission`` on that rollout.
+        rollouts: The population — exactly as submitted for
+            :func:`run_fleet`, or a study's lazily built rollout view
+            (see :meth:`FleetStudy.rollouts`).
+        results: Per-rollout :class:`MissionResult` rows, in input
+            order, each exactly equal to ``run_mission`` on that
+            rollout.
         batch_priced: Rollouts whose pipeline latency came from the one
             SoA :func:`~repro.hw.batch.batch_estimate` pass.
         scalar_fallback: Rollouts priced through scalar ``estimate``
             (non-SoA-priceable platforms).
     """
 
-    rollouts: Tuple[FleetRollout, ...]
-    results: Tuple[MissionResult, ...]
+    rollouts: Sequence[FleetRollout]
+    results: Sequence[MissionResult]
     batch_priced: int
     scalar_fallback: int
     #: Exact bytes of numpy working set the engine allocated for this
@@ -171,6 +187,140 @@ class FleetResult:
         if not self.results:
             return 0.0
         return self.alloc_bytes / len(self.results)
+
+
+def _result_rows(columns: Dict[str, np.ndarray]) -> List[MissionResult]:
+    """Materialize result columns as :class:`MissionResult` rows.
+
+    Bulk-converts columns to Python scalars first (tolist is one C
+    pass; 12 per-element float() calls per rollout are not).
+    """
+    rows = zip(*(columns[name].tolist() for name in _RESULT_COLUMNS))
+    results = []
+    for (ok, late, elapsed_i, distance_i, energy_i, mean_speed_i,
+         safe_speed_i, latency_i, compute_power_i, hover_power_i,
+         total_mass_i, endurance_i) in rows:
+        results.append(MissionResult(
+            success=ok,
+            failure_reason="" if ok else
+            ("timeout" if late else "battery"),
+            mission_time_s=elapsed_i,
+            distance_m=distance_i,
+            energy_j=energy_i,
+            mean_speed_m_s=mean_speed_i,
+            safe_speed_m_s=safe_speed_i,
+            pipeline_latency_s=latency_i,
+            compute_power_w=compute_power_i,
+            hover_power_w=hover_power_i,
+            total_mass_kg=total_mass_i,
+            endurance_s=endurance_i,
+        ))
+    return results
+
+
+def _position(index, n: int) -> int:
+    """``index`` as a non-negative position into ``n`` items."""
+    i = operator.index(index)
+    if i < 0:
+        i += n
+    if not 0 <= i < n:
+        raise IndexError(f"index {index} out of range for {n} rows")
+    return i
+
+
+class _ResultRows(collections.abc.Sequence):
+    """Read-only :class:`MissionResult` rows over owned result columns.
+
+    ``columns`` maps each :data:`_RESULT_COLUMNS` name to an ``(n,)``
+    array no other object writes.  ``len`` is O(1) and builds nothing;
+    ``[i]`` builds one row, a slice a tuple of rows, and iteration
+    every row in one bulk pass.  Equal to another view or to a tuple of
+    rows exactly when the rows are equal.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["succeeded"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(_result_rows({name: column[index] for name, column
+                                       in self.columns.items()}))
+        i = _position(index, len(self))
+        return _result_rows({name: column[i:i + 1] for name, column
+                             in self.columns.items()})[0]
+
+    def __iter__(self) -> Iterator[MissionResult]:
+        return iter(_result_rows(self.columns))
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if isinstance(other, _ResultRows):
+            # Row equality is column equality: a row's failure reason
+            # is a function of its (succeeded, timed_out) pair.
+            return all(np.array_equal(self.columns[name],
+                                      other.columns[name])
+                       for name in _RESULT_COLUMNS)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _StudyRollouts(collections.abc.Sequence):
+    """A study population as a view over its factor matrix.
+
+    Rollout ``i`` flies trial ``i // T`` on tier ``i % T`` (``T`` tiers,
+    trial-major).  The engine reads ``config``, ``tiers`` and
+    ``factors`` as columns and never builds a rollout; a
+    :class:`FleetRollout` is built only when read, and each trial's
+    rollouts are built together on first access and kept, so the tiers
+    of a trial share one perturbed config object.  Slices return
+    tuples.
+    """
+
+    __slots__ = ("config", "tiers", "factors", "_trials")
+
+    def __init__(self, config: MissionConfig, tiers: Tuple[Tier, ...],
+                 factors: np.ndarray) -> None:
+        self.config = config
+        self.tiers = tiers
+        self.factors = factors
+        self._trials: Dict[int, Tuple[FleetRollout, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self.factors) * len(self.tiers)
+
+    def _trial(self, trial: int) -> Tuple[FleetRollout, ...]:
+        rows = self._trials.get(trial)
+        if rows is None:
+            rows = self._trials[trial] = _perturbed_population(
+                self.config, self.tiers, self.factors[trial])
+        return rows
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        trial, tier = divmod(_position(index, len(self)), len(self.tiers))
+        return self._trial(trial)[tier]
+
+    def __iter__(self) -> Iterator[FleetRollout]:
+        for trial in range(len(self.factors)):
+            yield from self._trial(trial)
+
+    def __eq__(self, other) -> bool:
+        # Compares as the tuple of rollouts it used to be.
+        if isinstance(other, (_StudyRollouts, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 # -- closed-form step counts ------------------------------------------
@@ -257,13 +407,25 @@ def _first_count(unit: np.ndarray, target: np.ndarray,
 
 # -- the engine --------------------------------------------------------
 
-#: Result-column order of :func:`_solve_fleet`'s output and the row
-#: order :func:`_emit_results` unpacks.
+#: Result-column order of the solve phase's output and the row order
+#: :func:`_result_rows` unpacks.
 _RESULT_COLUMNS: Tuple[str, ...] = (
     "succeeded", "timed_out", "elapsed", "distance", "energy",
     "mean_speed", "safe_speed", "latency", "compute_power",
     "hover_power", "total_mass", "endurance",
 )
+
+#: Solve-phase inputs the gather and price phases produce, one ``(n,)``
+#: column each, whichever path (rollout objects or a study's factor
+#: matrix) produced them.
+_GATHER_COLUMNS: Tuple[str, ...] = (
+    "period", "actuation", "sensing_range", "accel", "max_speed", "dt",
+    "max_duration", "budget", "length", "total_mass", "hover_power",
+    "compute_power",
+)
+
+#: Solve result: ``(columns, batch_priced, scalar_fallback, alloc_bytes)``.
+_Solved = Tuple[Dict[str, np.ndarray], int, int, int]
 
 
 def run_fleet(rollouts: Sequence[FleetRollout], *,
@@ -276,16 +438,19 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
         rollouts: The population; rollouts may freely share worlds,
             platforms, and frame profiles (sharing is what makes the
             batch block small — platforms and profiles are deduplicated
-            by identity before pricing).
+            by identity before pricing).  A study's rollout view
+            (:meth:`FleetStudy.rollouts`) is gathered and priced as
+            columns straight from its factor matrix, without building
+            a single rollout.
         metrics: Optional registry receiving ``fleet.rollouts``,
             ``fleet.batch_hits``, ``fleet.batch_fallbacks``, and (when
             chunked) ``fleet.chunks`` / ``fleet.arena_occupancy_pct``.
         arena: Optional :class:`~repro.engine.arena.BatchArena` the
             solve phase writes its columns into — bit-identical to the
             allocating path; pass the same arena across calls to stop
-            reallocating.  Result arrays inside the return value are
-            plain Python objects either way; only the engine's interior
-            columns live in the arena.
+            reallocating.  The result copies the columns it keeps out
+            of the arena, so a later call on the same arena never
+            changes an earlier result.
         chunk_size: Evaluate the population through a fixed-size arena
             window of at most this many rollouts per pass, bounding the
             engine's working set to ``O(chunk_size)`` instead of
@@ -303,7 +468,8 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
         A :class:`FleetResult` whose per-rollout results are exactly
         equal to :func:`~repro.system.mission.run_mission`.
     """
-    rollouts = tuple(rollouts)
+    if not isinstance(rollouts, _StudyRollouts):
+        rollouts = tuple(rollouts)
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(
             f"chunk_size must be >= 1, got {chunk_size}")
@@ -349,30 +515,38 @@ def _publish(result: FleetResult, span,
             metrics.counter(name).inc(value)
 
 
-def _run_fleet(rollouts: Tuple[FleetRollout, ...],
+def _run_fleet(rollouts: Sequence[FleetRollout],
                arena: Optional[BatchArena] = None) -> FleetResult:
-    if not rollouts:
-        return FleetResult(rollouts=(), results=(), batch_priced=0,
+    if not len(rollouts):
+        return FleetResult(rollouts=rollouts, results=(), batch_priced=0,
                            scalar_fallback=0)
-    return _emit_fleet(rollouts, *_solve_fleet(rollouts, {}, arena))
+    return _emit_fleet(rollouts, *_solve_range(rollouts, 0, len(rollouts),
+                                               {}, arena),
+                       borrowed=arena is not None)
 
 
-def _emit_fleet(rollouts: Tuple[FleetRollout, ...],
+def _emit_fleet(rollouts: Sequence[FleetRollout],
                 columns: Dict[str, np.ndarray], batch_priced: int,
-                scalar_fallback: int, alloc_bytes: int) -> FleetResult:
-    """Wrap solved columns and their counts as a :class:`FleetResult`."""
+                scalar_fallback: int, alloc_bytes: int, *,
+                borrowed: bool = False) -> FleetResult:
+    """Wrap solved columns and their counts as a :class:`FleetResult`.
+
+    ``borrowed`` columns are arena views: the result copies them, so it
+    owns every column it reads rows from.
+    """
     with get_tracer().profile_span("fleet.emit", track="fleet"):
-        results = _emit_results(columns)
+        results = _ResultRows({
+            name: columns[name].copy() if borrowed else columns[name]
+            for name in _RESULT_COLUMNS})
     return FleetResult(rollouts=rollouts, results=results,
                        batch_priced=batch_priced,
                        scalar_fallback=scalar_fallback,
                        alloc_bytes=alloc_bytes)
 
 
-def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
-                 arena: Optional[BatchArena],
-                 ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
-    """Plan, gather, price, and solve one population into columns.
+def _solve_range(rollouts: Sequence[FleetRollout], lo: int, hi: int,
+                 memo: Dict, arena: Optional[BatchArena]) -> _Solved:
+    """Plan, gather, price, and solve rollouts ``[lo, hi)`` into columns.
 
     ``memo`` is the caller's identity memo of
     :func:`~repro.system.courses.lookup_course`, shared by every window
@@ -380,16 +554,31 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
 
     Returns ``(columns, batch_priced, scalar_fallback, alloc_bytes)``
     where ``columns`` maps each :data:`_RESULT_COLUMNS` name to its
-    ``(n,)`` array.  With an arena the columns are **borrowed** views —
-    valid until the next kernel call on the same arena — so callers
-    must emit (or copy, see :func:`_solve_windows`) before re-entering.
+    ``(hi - lo,)`` array.  With an arena the columns are **borrowed**
+    views — valid until the next kernel call on the same arena — so
+    callers must copy them (see :func:`_emit_fleet` and
+    :func:`_solve_windows`) before re-entering.
+    """
+    ws = Workspace(arena, "fleet.")
+    if isinstance(rollouts, _StudyRollouts):
+        gathered, priced, fell_back = _gather_study(
+            rollouts, lo, hi, memo, ws, arena)
+    else:
+        gathered, priced, fell_back = _gather_rollouts(
+            tuple(rollouts[lo:hi]), memo, ws, arena)
+    columns, alloc_bytes = _solve_columns(gathered, ws)
+    return columns, priced, fell_back, alloc_bytes
 
-    Every solve-phase ufunc writes through ``out=`` in the scalar
-    association order; the arena changes where the bytes land, never
-    their values (the module docstring's equivalence contract).
+
+def _gather_rollouts(rollouts: Tuple[FleetRollout, ...], memo: Dict,
+                     ws: Workspace, arena: Optional[BatchArena],
+                     ) -> Tuple[Dict[str, np.ndarray], int, int]:
+    """Plan, gather, and price a population of rollout objects.
+
+    Returns the :data:`_GATHER_COLUMNS` plus ``compute_latency``, and
+    the batch-priced and scalar-fallback counts.
     """
     n = len(rollouts)
-    ws = Workspace(arena, "fleet.")
     tracer = get_tracer()
     with tracer.profile_span("fleet.plan", track="fleet") as span:
         courses = []
@@ -412,18 +601,19 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
     # CPython's pow on a few per mille of inputs, which would break the
     # bit-equality contract; everything downstream vectorizes exactly.
     with tracer.profile_span("fleet.gather", track="fleet"):
-        period = ws.out("period", (n,))
-        actuation = ws.out("actuation", (n,))
-        sensing_range = ws.out("sensing_range", (n,))
-        accel = ws.out("accel", (n,))
-        max_speed = ws.out("max_speed", (n,))
-        dt = ws.out("dt", (n,))
-        max_duration = ws.out("max_duration", (n,))
-        budget = ws.out("budget", (n,))
-        length = ws.out("length", (n,))
-        total_mass = ws.out("total_mass", (n,))
-        hover_power = ws.out("hover_power", (n,))
-        compute_power = ws.out("compute_power", (n,))
+        gathered = {name: ws.out(name, (n,)) for name in _GATHER_COLUMNS}
+        period = gathered["period"]
+        actuation = gathered["actuation"]
+        sensing_range = gathered["sensing_range"]
+        accel = gathered["accel"]
+        max_speed = gathered["max_speed"]
+        dt = gathered["dt"]
+        max_duration = gathered["max_duration"]
+        budget = gathered["budget"]
+        length = gathered["length"]
+        total_mass = gathered["total_mass"]
+        hover_power = gathered["hover_power"]
+        compute_power = gathered["compute_power"]
         for i, (rollout, course) in enumerate(zip(rollouts, courses)):
             config = rollout.config
             period[i] = 1.0 / config.sensor_rate_hz
@@ -445,7 +635,8 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
     # deduplicated (platform, profile) block; scalar estimates only for
     # platforms the kernel cannot reproduce.
     with tracer.profile_span("fleet.price", track="fleet"):
-        compute_latency = ws.out("compute_latency", (n,))
+        compute_latency = gathered["compute_latency"] = ws.out(
+            "compute_latency", (n,))
         verdicts = [is_soa_priceable(rollout.platform)
                     for rollout in rollouts]
         priceable = [i for i in range(n) if verdicts[i]]
@@ -458,8 +649,7 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
             # Arena-backed gather indices: (row, col) into the priced
             # block plus the destination rollout index, so the scatter
             # below runs through reused buffers instead of allocating
-            # fresh fancy-index arrays every chunk (the last PR 7
-            # per-chunk allocation on this path).
+            # fresh fancy-index arrays every chunk.
             k = len(priceable)
             price_rows = ws.out("price_rows", (k,), np.intp)
             price_cols = ws.out("price_cols", (k,), np.intp)
@@ -494,11 +684,77 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
         for i in fallback:
             compute_latency[i] = rollouts[i].platform.estimate(
                 rollouts[i].config.frame_profile).latency_s
+    return gathered, len(priceable), len(fallback)
+
+
+def _gather_study(population: _StudyRollouts, lo: int, hi: int,
+                  memo: Dict, ws: Workspace, arena: Optional[BatchArena],
+                  ) -> Tuple[Dict[str, np.ndarray], int, int]:
+    """:func:`_gather_rollouts` for rollouts ``[lo, hi)`` of a study,
+    as columns straight from its factor matrix.
+
+    The window's trial range is gathered and priced whole, then cut to
+    ``[lo, hi)`` — windows need not align with trials.  Every column
+    is value-identical to the rollout-object path (see
+    :func:`_study_columns` and :func:`_price_study`).
+    """
+    config, tiers = population.config, population.tiers
+    width = len(tiers)
+    trial_lo, trial_hi = lo // width, -(-hi // width)
+    factors = population.factors[trial_lo:trial_hi]
+    window = slice(lo - trial_lo * width, hi - trial_lo * width)
+    tracer = get_tracer()
+    with tracer.profile_span("fleet.plan", track="fleet") as span:
+        # Perturbations never touch the planning inputs: every trial
+        # flies the base config's course.
+        course, fresh = lookup_course(config, memo)
+        if tracer.enabled:
+            span.args = {"planned": int(bool(fresh)),
+                         "reused": int(fresh is False)}
+    with tracer.profile_span("fleet.gather", track="fleet"):
+        gathered = {name: column[window] for name, column
+                    in _study_columns(config, tiers, factors, ws).items()}
+        gathered["length"] = ws.out("length", (hi - lo,))
+        gathered["length"].fill(course.total_length_m)
+    with tracer.profile_span("fleet.price", track="fleet"):
+        latency, priceable = _price_study(config, tiers, factors, ws,
+                                          arena)
+        gathered["compute_latency"] = latency[window]
+        priced = int(np.count_nonzero(
+            np.tile(priceable, len(factors))[window]))
+    return gathered, priced, hi - lo - priced
+
+
+def _solve_columns(gathered: Dict[str, np.ndarray], ws: Workspace,
+                   ) -> Tuple[Dict[str, np.ndarray], int]:
+    """The closed-form solve over gathered columns: the one copy of the
+    mission outcome math, fed by both gather paths.
+
+    ``gathered`` holds the :data:`_GATHER_COLUMNS` plus
+    ``compute_latency``.  Returns the :data:`_RESULT_COLUMNS` and the
+    population's exact working-set bytes.  Every ufunc writes through
+    ``out=`` in the scalar association order; the arena changes where
+    the bytes land, never their values (the module docstring's
+    equivalence contract).
+    """
+    period = gathered["period"]
+    actuation = gathered["actuation"]
+    sensing_range = gathered["sensing_range"]
+    accel = gathered["accel"]
+    max_speed = gathered["max_speed"]
+    dt = gathered["dt"]
+    max_duration = gathered["max_duration"]
+    budget = gathered["budget"]
+    length = gathered["length"]
+    hover_power = gathered["hover_power"]
+    compute_power = gathered["compute_power"]
+    compute_latency = gathered["compute_latency"]
+    n = len(period)
 
     # Pipeline latency and safe speed — broadcast forms of
     # pipeline_latency_s and UavPhysics.safe_speed_m_s, same
     # association order (see the module docstring's contract).
-    with tracer.profile_span("fleet.solve", track="fleet"):
+    with get_tracer().profile_span("fleet.solve", track="fleet"):
         # staleness = max(compute_latency - period, 0)
         staleness = ws.out("staleness", (n,))
         np.subtract(compute_latency, period, out=staleness)
@@ -581,14 +837,13 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
     # FleetResult.alloc_bytes and, when a measure_allocations() scope
     # is active, on the global meter.  View nbytes ignores arena
     # capacity, so the value is identical with or without an arena —
-    # and between serial and sharded runs.
+    # between serial and sharded runs, and between the two gather paths.
     soa_arrays = (
-        period, actuation, sensing_range, accel, max_speed, dt,
-        max_duration, budget, length, total_mass, hover_power,
-        compute_power, compute_latency, staleness, latency, raw_speed,
-        safe_speed, total_power, endurance, step_travel, step_energy,
-        n_timeout, n_complete, n_battery, steps, timed_out, succeeded,
-        elapsed, energy, distance, mean_speed,
+        *(gathered[name] for name in _GATHER_COLUMNS), compute_latency,
+        staleness, latency, raw_speed, safe_speed, total_power,
+        endurance, step_travel, step_energy, n_timeout, n_complete,
+        n_battery, steps, timed_out, succeeded, elapsed, energy,
+        distance, mean_speed,
     )
     alloc_bytes = sum(array.nbytes for array in soa_arrays)
     meter = get_alloc_meter()
@@ -600,63 +855,33 @@ def _solve_fleet(rollouts: Tuple[FleetRollout, ...], memo: Dict,
         "elapsed": elapsed, "distance": distance, "energy": energy,
         "mean_speed": mean_speed, "safe_speed": safe_speed,
         "latency": latency, "compute_power": compute_power,
-        "hover_power": hover_power, "total_mass": total_mass,
+        "hover_power": hover_power, "total_mass": gathered["total_mass"],
         "endurance": endurance,
     }
-    return columns, len(priceable), len(fallback), alloc_bytes
+    return columns, alloc_bytes
 
 
-def _emit_results(columns: Dict[str, np.ndarray]
-                  ) -> Tuple[MissionResult, ...]:
-    """Materialize result columns as :class:`MissionResult` rows.
-
-    Bulk-converts columns to Python scalars first (tolist is one C
-    pass; 12 per-element float() calls per rollout are not).
-    """
-    rows = zip(*(columns[name].tolist() for name in _RESULT_COLUMNS))
-    results = []
-    for (ok, late, elapsed_i, distance_i, energy_i, mean_speed_i,
-         safe_speed_i, latency_i, compute_power_i, hover_power_i,
-         total_mass_i, endurance_i) in rows:
-        results.append(MissionResult(
-            success=ok,
-            failure_reason="" if ok else
-            ("timeout" if late else "battery"),
-            mission_time_s=elapsed_i,
-            distance_m=distance_i,
-            energy_j=energy_i,
-            mean_speed_m_s=mean_speed_i,
-            safe_speed_m_s=safe_speed_i,
-            pipeline_latency_s=latency_i,
-            compute_power_w=compute_power_i,
-            hover_power_w=hover_power_i,
-            total_mass_kg=total_mass_i,
-            endurance_s=endurance_i,
-        ))
-    return tuple(results)
-
-
-def _solve_windows(rollouts: Tuple[FleetRollout, ...], chunk_size: int,
-                   memo: Dict, arena: BatchArena,
-                   ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
-    """:func:`_solve_fleet` through ``chunk_size``-rollout arena windows.
+def _solve_windows(rollouts: Sequence[FleetRollout], chunk_size: int,
+                   memo: Dict, arena: BatchArena) -> _Solved:
+    """:func:`_solve_range` through ``chunk_size``-rollout arena windows.
 
     Each window's borrowed arena columns are copied into owned
     ``(n,)`` result columns before the next window reuses the arena,
-    so the return value has :func:`_solve_fleet`'s shape but outlives
+    so the return value has :func:`_solve_range`'s shape but outlives
     the arena.  Counts and byte totals are summed over the windows.
     """
     n = len(rollouts)
     out: Dict[str, np.ndarray] = {}
     batch_priced = scalar_fallback = alloc_bytes = 0
     for lo in range(0, n, chunk_size):
-        columns, priced, fell_back, nbytes = _solve_fleet(
-            rollouts[lo:lo + chunk_size], memo, arena)
+        hi = min(lo + chunk_size, n)
+        columns, priced, fell_back, nbytes = _solve_range(
+            rollouts, lo, hi, memo, arena)
         for name in _RESULT_COLUMNS:
             column = columns[name]
             if name not in out:
                 out[name] = np.empty(n, dtype=column.dtype)
-            out[name][lo:lo + len(column)] = column
+            out[name][lo:hi] = column
         batch_priced += priced
         scalar_fallback += fell_back
         alloc_bytes += nbytes
@@ -664,8 +889,7 @@ def _solve_windows(rollouts: Tuple[FleetRollout, ...], chunk_size: int,
 
 
 def _run_shard(task: Tuple[MissionConfig, Tuple[Tier, ...], np.ndarray,
-                           Optional[int], Course],
-               ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
+                           Optional[int], Course]) -> _Solved:
     """Process-pool entry point for one contiguous trial range.
 
     ``task`` is ``(config, tiers, factors, chunk_size, course)`` — the
@@ -673,54 +897,176 @@ def _run_shard(task: Tuple[MissionConfig, Tuple[Tier, ...], np.ndarray,
     factor matrix and ``course`` the course the parent resolved for
     ``config``.  The worker pins that course in its memo (perturbed
     configs share ``config``'s world and endpoints, so it never plans),
-    rebuilds its rollouts exactly as the parent's
-    :meth:`FleetStudy.rollouts` would, solves them with a private arena,
-    and returns plain result columns plus counts; no row objects cross
-    the process boundary in either direction.
+    gathers its columns from its factor slice exactly as the serial
+    study gathers them from the whole matrix, solves them with a
+    private arena, and returns plain result columns plus counts; no
+    row objects are built on either side of the process boundary.
     """
     config, tiers, factors, chunk_size, course = task
     memo: Dict = {}
     pin_course(memo, config, course)
-    shard = tuple(_perturbed_population(config, tiers, factors,
-                                        0, len(factors)))
+    shard = _StudyRollouts(config, tiers, factors)
     return _solve_windows(shard, chunk_size or len(shard), memo,
                           BatchArena())
 
 
 # -- Monte Carlo layer -------------------------------------------------
 
-def _perturbed_population(config: MissionConfig,
-                          tiers: Sequence[Tier],
-                          factors: np.ndarray,
-                          trial_lo: int, trial_hi: int
-                          ) -> List[FleetRollout]:
-    """Rollouts for trials ``[trial_lo, trial_hi)``, trial-major.
+def _perturbed_population(config: MissionConfig, tiers: Sequence[Tier],
+                          factors: np.ndarray) -> Tuple[FleetRollout, ...]:
+    """One trial's rollouts, one per tier, sharing one perturbed config.
 
-    The single construction path for study populations — the parent's
-    :meth:`FleetStudy.rollouts` and the pool's shard workers both call
-    it, so a shard rebuilt from its slice of the factor matrix is
-    bit-identical to the parent's slice of the full population.
+    ``factors`` is the trial's ``(capacity, mass, rate, scale)`` row of
+    the factor matrix.  The reference construction of a perturbed
+    scenario: the study's rollout view builds its rows here, and
+    :func:`_study_columns` defers to it to raise validation errors.
     """
-    population: List[FleetRollout] = []
-    for trial in range(trial_lo, trial_hi):
-        cap, mass, rate, scale = factors[trial]
-        perturbed = replace(
-            config,
-            battery=replace(config.battery,
-                            capacity_wh=config.battery.capacity_wh
-                            * cap),
-            sensor_rate_hz=config.sensor_rate_hz * rate,
-            frame_profile=config.frame_profile.scaled(scale),
-        )
-        for name, platform, module_mass, power in tiers:
-            population.append(FleetRollout(
-                name=name,
-                config=perturbed,
-                platform=platform,
-                compute_mass_kg=module_mass * mass,
-                compute_power_w=power,
-            ))
-    return population
+    cap, mass, rate, scale = factors
+    perturbed = replace(
+        config,
+        battery=replace(config.battery,
+                        capacity_wh=config.battery.capacity_wh * cap),
+        sensor_rate_hz=config.sensor_rate_hz * rate,
+        frame_profile=config.frame_profile.scaled(scale),
+    )
+    return tuple(FleetRollout(name=name, config=perturbed,
+                              platform=platform,
+                              compute_mass_kg=module_mass * mass,
+                              compute_power_w=power)
+                 for name, platform, module_mass, power in tiers)
+
+
+def _check_factors(config: MissionConfig, tiers: Sequence[Tier],
+                   factors: np.ndarray) -> None:
+    """Raise exactly where :func:`_perturbed_population` would.
+
+    The ``__post_init__`` checks a trial's ``replace`` calls run
+    (battery capacity, the scaled profile's counts, the sensor rate),
+    plus ``scaled``'s ``factor < 0`` check, as column masks.  Flagged
+    trials — and trial 0, which stands in for the checks on fields no
+    factor touches — are rebuilt through the reference path in trial
+    order, so the first invalid trial raises its own exception.
+    """
+    if not len(factors):
+        return
+    cap, _mass, rate, scale = factors.T
+    profile = config.frame_profile
+    with np.errstate(invalid="ignore"):
+        suspect = config.battery.capacity_wh * cap <= 0
+        suspect |= scale < 0
+        for count in (profile.flops, profile.int_ops, profile.bytes_read,
+                      profile.bytes_written):
+            scaled = count * scale
+            suspect |= (scaled < 0) | np.isnan(scaled)
+        suspect |= config.sensor_rate_hz * rate <= 0
+    for trial in [0, *np.flatnonzero(suspect).tolist()]:
+        _perturbed_population(config, tiers, factors[trial])
+
+
+def _study_columns(config: MissionConfig, tiers: Sequence[Tier],
+                   factors: np.ndarray, ws: Optional[Workspace] = None,
+                   ) -> Dict[str, np.ndarray]:
+    """The gather columns of a study population, from its factor matrix.
+
+    Returns every :data:`_GATHER_COLUMNS` entry except the course
+    ``length`` as an ``(trials * T,)`` column in trial-major order
+    (rollout ``i`` is trial ``i // T`` on tier ``i % T``).  Each column
+    evaluates the expressions the rollout-object gather evaluates on
+    :func:`_perturbed_population`'s rows, in the same association
+    order, so every value is bit-identical; ``hover_power`` stays a
+    per-rollout scalar call (the module docstring's ``x ** 1.5`` rule).
+    Invalid factors raise what the ``replace`` path raises (see
+    :func:`_check_factors`).
+    """
+    factors = np.asarray(factors, dtype=float)
+    _check_factors(config, tiers, factors)
+    if ws is None:
+        ws = Workspace(None, "fleet.")
+    trials, width = len(factors), len(tiers)
+    columns = {name: ws.out(name, (trials * width,))
+               for name in _GATHER_COLUMNS if name != "length"}
+    grid = {name: column.reshape(trials, width)
+            for name, column in columns.items()}
+    cap, mass, rate = (factors[:, axis, None] for axis in range(3))
+    uav, battery = config.uav, config.battery
+    # period = 1.0 / sensor_rate_hz, sensor_rate_hz = base rate * rate
+    np.multiply(config.sensor_rate_hz, rate, out=grid["period"])
+    np.divide(1.0, grid["period"], out=grid["period"])
+    for name, value in (("actuation", config.actuation_latency_s),
+                        ("sensing_range", config.sensing_range_m),
+                        ("accel", uav.max_accel_m_s2),
+                        ("max_speed", uav.max_speed_m_s),
+                        ("dt", config.time_step_s),
+                        ("max_duration", config.max_duration_s)):
+        columns[name].fill(value)
+    # budget = usable_energy_j = (capacity_wh * cap) * 3600 * usable
+    budget = grid["budget"]
+    np.multiply(battery.capacity_wh, cap, out=budget)
+    np.multiply(budget, 3600.0, out=budget)
+    np.multiply(budget, battery.usable_fraction, out=budget)
+    # total_mass = (frame + battery) + module_mass * mass
+    total_mass = grid["total_mass"]
+    np.multiply([module_mass for _, _, module_mass, _ in tiers], mass,
+                out=total_mass)
+    np.add(uav.frame_mass_kg + battery.mass_kg, total_mass,
+           out=total_mass)
+    columns["hover_power"][:] = list(map(uav.hover_power_w,
+                                         columns["total_mass"].tolist()))
+    grid["compute_power"][:] = [power for _, _, _, power in tiers]
+    return columns
+
+
+def _price_study(config: MissionConfig, tiers: Sequence[Tier],
+                 factors: np.ndarray, ws: Workspace,
+                 arena: Optional[BatchArena],
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-rollout compute latency of a study population, trial-major.
+
+    SoA-priceable tiers are priced in ONE
+    :func:`~repro.hw.batch.batch_estimate` call over (distinct priceable
+    platforms) × (trials), whose profile columns are the base profile's
+    columns scaled by the trial's workload scale — the values
+    ``scaled(scale)`` followed by ``total_bytes`` produce.  Other tiers
+    go through scalar ``estimate`` on each trial's scaled profile.
+
+    Returns ``(latency, priceable)``: the ``(trials * T,)`` latency
+    column and the ``(T,)`` per-tier SoA verdicts.
+    """
+    trials, width = len(factors), len(tiers)
+    latency = ws.out("compute_latency", (trials * width,))
+    grid = latency.reshape(trials, width)
+    scale = factors[:, 3]
+    priceable = np.array([is_soa_priceable(platform)
+                          for _, platform, _, _ in tiers], dtype=bool)
+    platforms: List[Platform] = list({
+        id(tiers[tier][1]): tiers[tier][1]
+        for tier in np.flatnonzero(priceable).tolist()}.values())
+    rows = {id(platform): row for row, platform in enumerate(platforms)}
+    if platforms:
+        profile = config.frame_profile
+        profiles = ProfileSoA(
+            names=(profile.name,) * trials,
+            flops=profile.flops * scale,
+            int_ops=profile.int_ops * scale,
+            total_bytes=(profile.bytes_read * scale
+                         + profile.bytes_written * scale),
+            working_set_bytes=np.full(trials, profile.working_set_bytes),
+            parallel_fraction=np.full(trials, profile.parallel_fraction),
+            derating=np.full(trials,
+                             DIVERGENCE_DERATING[profile.divergence]))
+        cost = batch_estimate(PlatformSoA.from_platforms(platforms),
+                              profiles, arena=arena)
+        for tier in np.flatnonzero(priceable).tolist():
+            grid[:, tier] = cost.latency_s[rows[id(tiers[tier][1])]]
+    fallback = np.flatnonzero(~priceable).tolist()
+    if fallback:
+        for trial, factor in enumerate(scale):
+            profile = config.frame_profile.scaled(factor)
+            for tier in fallback:
+                grid[trial, tier] = tiers[tier][1].estimate(
+                    profile).latency_s
+    return latency, priceable
+
 
 @dataclass(frozen=True)
 class FleetPerturbation:
@@ -861,16 +1207,30 @@ class FleetStudy:
         return rng.uniform(1.0 - widths, 1.0 + widths,
                            size=(self.trials, 4))
 
-    def rollouts(self) -> List[FleetRollout]:
+    def rollouts(self) -> Sequence[FleetRollout]:
         """The full population, trial-major: every tier flies every
-        perturbed scenario."""
-        return _perturbed_population(self.config, self.tiers,
-                                     self.factors(), 0, self.trials)
+        perturbed scenario.
+
+        A read-only view over :meth:`factors`, not a list: rollout
+        ``i`` flies trial ``i // T`` on tier ``i % T``.  Reading a
+        trial's rollout builds that trial's perturbed config (once per
+        view; its tiers share it) and slices return tuples.
+        :func:`run_fleet` reads the view as columns and builds no
+        rollout at all.
+        """
+        return _StudyRollouts(self.config, tuple(self.tiers),
+                              self.factors())
 
     def run(self, *, jobs: int = 1,
             metrics: Optional[MetricsRegistry] = None,
             chunk_size: Optional[int] = None) -> FleetStudyResult:
         """Evaluate the study population and summarize per tier.
+
+        The population goes to :func:`run_fleet` as the
+        :meth:`rollouts` view, so it is gathered and priced as columns
+        from the factor matrix; the summary reads the result columns.
+        The returned ``fleet`` builds rollout and result rows only when
+        they are read.
 
         Args:
             jobs: Process-pool width.  ``jobs > 1`` splits the trials
@@ -906,12 +1266,11 @@ class FleetStudy:
 
         Each task carries only its shard spec and the course the parent
         resolved (see :func:`_run_shard`) and comes back as result
-        columns; the parent concatenates them in shard order and emits
-        once.  Bit-identical to serial: same factor bytes, same solve,
-        same emit.  The tasks are submitted before the parent builds its
-        own copy of the population (which :class:`FleetResult` carries),
-        so the workers start from a small parent heap and that build
-        overlaps their solves.
+        columns; the parent concatenates them in shard order and wraps
+        them, with a rollout view over the same factor matrix, as the
+        serial run does.  Bit-identical to serial: same factor bytes,
+        same gather, same solve.  The parent builds no population of its
+        own, so all it does while the workers run is wait.
         """
         factors = self.factors()
         workers = min(jobs, self.trials)
@@ -930,43 +1289,54 @@ class FleetStudy:
             tasks = [(self.config, tiers, factors[lo:hi], chunk_size,
                       course) for lo, hi in zip(cuts, cuts[1:])]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                pending = pool.map(_run_shard, tasks)
-                population = self.rollouts()
-                shards, priced, fell_back, nbytes = zip(*pending)
+                shards, priced, fell_back, nbytes = zip(
+                    *pool.map(_run_shard, tasks))
             columns = {name: np.concatenate([shard[name]
                                              for shard in shards])
                        for name in _RESULT_COLUMNS}
-            fleet = _emit_fleet(tuple(population), columns, sum(priced),
-                                sum(fell_back), sum(nbytes))
+            fleet = _emit_fleet(_StudyRollouts(self.config, tiers,
+                                               factors),
+                                columns, sum(priced), sum(fell_back),
+                                sum(nbytes))
         _publish(fleet, span, metrics, jobs=jobs)
         return fleet
 
     def _summarize(self, fleet: FleetResult) -> List[TierStatistics]:
-        by_tier: Dict[str, List[MissionResult]] = {}
-        for rollout, result in zip(fleet.rollouts, fleet.results):
-            by_tier.setdefault(rollout.name, []).append(result)
+        """Per-tier statistics straight from the result columns.
+
+        Tier ``k``'s rollouts are the strided slice ``[k::T]`` (tiers
+        sharing a name are pooled, in rollout order); no row is built.
+        """
+        columns = fleet.results.columns
+        width = len(self.tiers)
+        members: Dict[str, List[int]] = {}
+        for tier, (name, _platform, _mass, _power) in enumerate(self.tiers):
+            members.setdefault(name, []).append(tier)
         statistics = []
         for name, _platform, _mass, _power in self.tiers:
-            results = by_tier.get(name, [])
-            if not results:
-                continue
-            times = np.array([r.mission_time_s for r in results])
-            energies = np.array([r.energy_j for r in results])
-            successes = sum(1 for r in results if r.success)
-            failures: Dict[str, int] = {}
-            for r in results:
-                if not r.success:
-                    failures[r.failure_reason] = failures.get(
-                        r.failure_reason, 0) + 1
+            tiers = members[name]
+            rows = (slice(tiers[0], None, width) if len(tiers) == 1 else
+                    (np.arange(0, len(fleet), width)[:, None]
+                     + tiers).ravel())
+            succeeded = columns["succeeded"][rows]
+            times = columns["elapsed"][rows]
+            energies = columns["energy"][rows]
+            # Reasons in first-occurrence order over the failed rows.
+            late = columns["timed_out"][rows][~succeeded]
+            counts = {"timeout": int(np.count_nonzero(late))}
+            counts["battery"] = len(late) - counts["timeout"]
+            order = (("timeout", "battery") if len(late) and late[0]
+                     else ("battery", "timeout"))
             statistics.append(TierStatistics(
                 tier=name,
-                trials=len(results),
-                success_rate=successes / len(results),
+                trials=len(times),
+                success_rate=int(np.count_nonzero(succeeded)) / len(times),
                 mission_time_p50_s=float(np.percentile(times, 50)),
                 mission_time_p90_s=float(np.percentile(times, 90)),
                 mission_time_p99_s=float(np.percentile(times, 99)),
                 energy_p50_j=float(np.percentile(energies, 50)),
                 energy_p99_j=float(np.percentile(energies, 99)),
-                failure_counts=failures,
+                failure_counts={reason: counts[reason] for reason in order
+                                if counts[reason]},
             ))
         return statistics
