@@ -196,6 +196,70 @@ def run_fleet_missions(size: int) -> Dict[str, float]:
     }
 
 
+# -- fleet study -------------------------------------------------------
+
+#: Pool size of the sharded study run (one worker per CPU of a 2-CPU
+#: host; the ledger record's provenance carries the host's ``cpus``).
+_STUDY_JOBS = 2
+
+
+def _best_study_rate(study, jobs: int, rollouts: int):
+    """Best-of-``_BATCH_REPS`` rollouts/s of ``study.run(jobs=jobs)``
+    with the cyclic GC paused, and the last run's result."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        best = 0.0
+        for _ in range(_BATCH_REPS):
+            started = time.perf_counter()
+            result = study.run(jobs=jobs)
+            best = max(best, rollouts / (time.perf_counter() - started))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return best, result
+
+
+def run_fleet_study(size: int) -> Dict[str, float]:
+    """A ``size``-trial Monte Carlo :class:`FleetStudy` over the bench
+    ladder: serial rollouts/s (the column study's serial floor) against
+    ``jobs=2`` rollouts/s, whose pool start-up and shard transfer the
+    sharded run pays on every call.
+
+    ``parallel_speedup`` (parallel over serial rate) is recorded but
+    not gated: it depends on the host's CPU count, which the record's
+    provenance carries.  The gated ``speedup`` is the serial study's
+    rate over the scalar ``run_mission`` loop (:func:`_scalar_rate`,
+    the ``fleet_missions`` denominator).  Sharded results must equal
+    serial ones column for column."""
+    import numpy as np
+
+    from repro.hw.catalog import uav_compute_tiers
+    from repro.system.fleet import FleetStudy
+
+    scalar_per_s = _scalar_rate()
+    tiers = uav_compute_tiers()
+    study = FleetStudy(config=_fleet_config(), tiers=tiers, trials=size,
+                       seed=0)
+    rollouts = size * len(tiers)
+    study.run()  # warm: course store, imports
+    serial_per_s, serial = _best_study_rate(study, 1, rollouts)
+    parallel_per_s, parallel = _best_study_rate(study, _STUDY_JOBS,
+                                                rollouts)
+    columns = parallel.fleet.results.columns
+    for name, column in serial.fleet.results.columns.items():
+        assert np.array_equal(column, columns[name], equal_nan=True), (
+            f"sharded study column {name!r} diverged at n={size}")
+    assert parallel.statistics == serial.statistics, (
+        f"sharded study statistics diverged at n={size}")
+    return {
+        "serial_per_s": round(serial_per_s, 1),
+        "parallel_per_s": round(parallel_per_s, 1),
+        "parallel_speedup": round(parallel_per_s / serial_per_s, 2),
+        "speedup": round(serial_per_s / scalar_per_s, 2),
+    }
+
+
 # -- arena reuse -------------------------------------------------------
 
 _ARENA_GENERATIONS = 5
@@ -616,6 +680,23 @@ register_benchmark(Benchmark(
     ),
     runner=run_fleet_missions,
     tags=("smoke", "mission", "system"),
+))
+
+register_benchmark(Benchmark(
+    name="fleet_study",
+    description="Column-native Monte Carlo FleetStudy (size = trials x 5"
+                " tiers): serial vs. jobs=2 rollouts/s (equal columns),"
+                " serial vs. scalar run_mission",
+    sizes=(2_048, 16_384, 131_072),
+    smoke_sizes=(2_048,),
+    metrics=(
+        Metric("serial_per_s", unit="1/s"),
+        Metric("parallel_per_s", unit="1/s"),
+        Metric("parallel_speedup", unit="x"),
+        Metric("speedup", unit="x", higher_is_better=True, gate=True),
+    ),
+    runner=run_fleet_study,
+    tags=("study", "system"),
 ))
 
 register_benchmark(Benchmark(

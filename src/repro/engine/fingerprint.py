@@ -58,6 +58,15 @@ def _canonical(obj: Any) -> Any:
         if isinstance(obj, _np.floating):
             return _canonical(float(obj))
         if isinstance(obj, _np.ndarray):
+            # Bool, int and NaN-free float arrays list as plain Python
+            # scalars that _canonical maps to themselves: skip the
+            # per-element recursion (same canonical JSON).  Long
+            # doubles list as numpy scalars, so they recurse.
+            if obj.dtype.kind in "biu" or (
+                    obj.dtype.kind == "f" and obj.itemsize <= 8
+                    and not _np.isnan(obj).any()):
+                return {"__ndarray__": list(obj.shape),
+                        "values": obj.tolist()}
             return {"__ndarray__": list(obj.shape),
                     "values": _canonical(obj.tolist())}
     if isinstance(obj, enum.Enum):

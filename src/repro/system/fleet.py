@@ -33,7 +33,9 @@ reason.  Two ingredients make this hold at the bits:
    with operations that numpy computes identically to Python floats
    (``+ - * /``, ``sqrt``, ``min``/``max``).  The one op where numpy's
    SIMD path rounds differently from CPython — ``x ** 1.5`` inside
-   hover power — stays a per-rollout scalar call.
+   hover power — stays a per-element CPython ``pow``; the rest of hover
+   power is column arithmetic
+   (:meth:`~repro.system.robot.UavPhysics.hover_power_column`).
 
 The contract is enforced by ``tests/system/test_fleet.py`` and the
 hypothesis suite ``tests/props/test_property_fleet.py``.
@@ -596,10 +598,10 @@ def _gather_rollouts(rollouts: Tuple[FleetRollout, ...], memo: Dict,
         if tracer.enabled:
             span.args = {"planned": planned, "reused": reused}
 
-    # Per-rollout scalar inputs.  hover_power stays a scalar Python call
-    # on purpose: numpy's SIMD `x ** 1.5` rounds differently from
-    # CPython's pow on a few per mille of inputs, which would break the
-    # bit-equality contract; everything downstream vectorizes exactly.
+    # Per-rollout scalar inputs, then hover power as one column per run
+    # of rollouts sharing an airframe (UavPhysics.hover_power_column:
+    # only its `x ** 1.5` stays a per-element CPython pow).  Runs go in
+    # rollout order, so the first invalid mass raises first.
     with tracer.profile_span("fleet.gather", track="fleet"):
         gathered = {name: ws.out(name, (n,)) for name in _GATHER_COLUMNS}
         period = gathered["period"]
@@ -614,8 +616,13 @@ def _gather_rollouts(rollouts: Tuple[FleetRollout, ...], memo: Dict,
         total_mass = gathered["total_mass"]
         hover_power = gathered["hover_power"]
         compute_power = gathered["compute_power"]
+        airframes = []  # (first rollout, uav) wherever the uav changes
+        uav = None
         for i, (rollout, course) in enumerate(zip(rollouts, courses)):
             config = rollout.config
+            if config.uav is not uav and config.uav != uav:
+                uav = config.uav
+                airframes.append((i, uav))
             period[i] = 1.0 / config.sensor_rate_hz
             actuation[i] = config.actuation_latency_s
             sensing_range[i] = config.sensing_range_m
@@ -625,11 +632,14 @@ def _gather_rollouts(rollouts: Tuple[FleetRollout, ...], memo: Dict,
             max_duration[i] = config.max_duration_s
             budget[i] = config.battery.usable_energy_j
             length[i] = course.total_length_m
-            mass = (config.uav.frame_mass_kg + config.battery.mass_kg
-                    + rollout.compute_mass_kg)
-            total_mass[i] = mass
-            hover_power[i] = config.uav.hover_power_w(mass)
+            total_mass[i] = (config.uav.frame_mass_kg
+                             + config.battery.mass_kg
+                             + rollout.compute_mass_kg)
             compute_power[i] = rollout.compute_power_w
+        for (lo, uav), (hi, _) in zip(airframes,
+                                      [*airframes[1:], (n, None)]):
+            uav.hover_power_column(total_mass[lo:hi],
+                                   out=hover_power[lo:hi])
 
     # Frame-pipeline compute latency: one SoA pass over the population's
     # deduplicated (platform, profile) block; scalar estimates only for
@@ -973,8 +983,9 @@ def _study_columns(config: MissionConfig, tiers: Sequence[Tier],
     (rollout ``i`` is trial ``i // T`` on tier ``i % T``).  Each column
     evaluates the expressions the rollout-object gather evaluates on
     :func:`_perturbed_population`'s rows, in the same association
-    order, so every value is bit-identical; ``hover_power`` stays a
-    per-rollout scalar call (the module docstring's ``x ** 1.5`` rule).
+    order, so every value is bit-identical; ``hover_power`` is
+    :meth:`~repro.system.robot.UavPhysics.hover_power_column` (the
+    module docstring's ``x ** 1.5`` rule).
     Invalid factors raise what the ``replace`` path raises (see
     :func:`_check_factors`).
     """
@@ -1010,8 +1021,8 @@ def _study_columns(config: MissionConfig, tiers: Sequence[Tier],
                 out=total_mass)
     np.add(uav.frame_mass_kg + battery.mass_kg, total_mass,
            out=total_mass)
-    columns["hover_power"][:] = list(map(uav.hover_power_w,
-                                         columns["total_mass"].tolist()))
+    uav.hover_power_column(columns["total_mass"],
+                           out=columns["hover_power"])
     grid["compute_power"][:] = [power for _, _, _, power in tiers]
     return columns
 
@@ -1304,39 +1315,45 @@ class FleetStudy:
     def _summarize(self, fleet: FleetResult) -> List[TierStatistics]:
         """Per-tier statistics straight from the result columns.
 
-        Tier ``k``'s rollouts are the strided slice ``[k::T]`` (tiers
-        sharing a name are pooled, in rollout order); no row is built.
+        Tier ``k``'s rollouts are the strided slice ``[k::T]``; tiers
+        sharing a name are pooled, in rollout order, and summarized
+        once.  Each name takes two percentile passes (times, energies);
+        no row is built.
         """
         columns = fleet.results.columns
         width = len(self.tiers)
         members: Dict[str, List[int]] = {}
         for tier, (name, _platform, _mass, _power) in enumerate(self.tiers):
             members.setdefault(name, []).append(tier)
-        statistics = []
-        for name, _platform, _mass, _power in self.tiers:
-            tiers = members[name]
+        by_name = {}
+        for name, tiers in members.items():
             rows = (slice(tiers[0], None, width) if len(tiers) == 1 else
                     (np.arange(0, len(fleet), width)[:, None]
                      + tiers).ravel())
             succeeded = columns["succeeded"][rows]
             times = columns["elapsed"][rows]
             energies = columns["energy"][rows]
+            time_p50, time_p90, time_p99 = np.percentile(
+                times, (50, 90, 99)).tolist()
+            energy_p50, energy_p99 = np.percentile(
+                energies, (50, 99)).tolist()
             # Reasons in first-occurrence order over the failed rows.
             late = columns["timed_out"][rows][~succeeded]
             counts = {"timeout": int(np.count_nonzero(late))}
             counts["battery"] = len(late) - counts["timeout"]
             order = (("timeout", "battery") if len(late) and late[0]
                      else ("battery", "timeout"))
-            statistics.append(TierStatistics(
+            by_name[name] = TierStatistics(
                 tier=name,
                 trials=len(times),
                 success_rate=int(np.count_nonzero(succeeded)) / len(times),
-                mission_time_p50_s=float(np.percentile(times, 50)),
-                mission_time_p90_s=float(np.percentile(times, 90)),
-                mission_time_p99_s=float(np.percentile(times, 99)),
-                energy_p50_j=float(np.percentile(energies, 50)),
-                energy_p99_j=float(np.percentile(energies, 99)),
+                mission_time_p50_s=time_p50,
+                mission_time_p90_s=time_p90,
+                mission_time_p99_s=time_p99,
+                energy_p50_j=energy_p50,
+                energy_p99_j=energy_p99,
                 failure_counts={reason: counts[reason] for reason in order
                                 if counts[reason]},
-            ))
-        return statistics
+            )
+        return [by_name[name] for name, _platform, _mass, _power
+                in self.tiers]

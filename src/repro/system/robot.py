@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -98,6 +101,32 @@ class UavPhysics:
             2.0 * AIR_DENSITY * self.rotor_disk_area_m2
         )
         return ideal / self.figure_of_merit + self.avionics_power_w
+
+    def hover_power_column(self, total_mass_kg: np.ndarray,
+                           out: Optional[np.ndarray] = None
+                           ) -> np.ndarray:
+        """:meth:`hover_power_w` over a 1-D column of all-up masses,
+        bit for bit.
+
+        The same operations in the same association order, as numpy
+        column operations, except ``thrust ** 1.5``: that stays a
+        CPython ``pow`` per element, because numpy's SIMD power rounds
+        differently from it on a few per mille of inputs.  A mass
+        ``<= 0`` raises the scalar method's error for the first such
+        element; NaN passes through, as it does there.
+        """
+        masses = np.asarray(total_mass_kg, dtype=float)
+        invalid = np.flatnonzero(masses <= 0)
+        if len(invalid):
+            self.hover_power_w(masses[invalid[0]].item())  # raises
+        if out is None:
+            out = np.empty(len(masses))
+        out[:] = [thrust ** 1.5 for thrust in (masses * GRAVITY).tolist()]
+        np.divide(out, math.sqrt(2.0 * AIR_DENSITY
+                                 * self.rotor_disk_area_m2), out=out)
+        np.divide(out, self.figure_of_merit, out=out)
+        np.add(out, self.avionics_power_w, out=out)
+        return out
 
     def safe_speed_m_s(self, sensing_range_m: float,
                        response_latency_s: float) -> float:

@@ -1,5 +1,6 @@
 """Property-based tests for system-level invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,3 +113,22 @@ def test_flight_time_monotone_in_payload(extra_mass, extra_power):
     base = uav.flight_time_s(battery, 0.0, 0.0)
     loaded = uav.flight_time_s(battery, extra_mass, extra_power)
     assert loaded <= base + 1e-9
+
+
+_airframes = st.builds(
+    UavPhysics,
+    frame_mass_kg=st.floats(min_value=1e-3, max_value=50.0),
+    rotor_disk_area_m2=st.floats(min_value=1e-3, max_value=10.0),
+    figure_of_merit=st.floats(min_value=0.05, max_value=1.0),
+    avionics_power_w=st.floats(min_value=0.0, max_value=100.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_airframes,
+       st.lists(st.floats(min_value=1e-6, max_value=1e6), max_size=64))
+def test_hover_power_column_equals_scalar_bit_for_bit(uav, masses):
+    """The column form rounds exactly like one scalar call per mass
+    (``x ** 1.5`` stays CPython's pow; the rest is column arithmetic
+    in the scalar's association order)."""
+    column = uav.hover_power_column(np.array(masses, dtype=float))
+    assert column.tolist() == [uav.hover_power_w(m) for m in masses]

@@ -316,6 +316,66 @@ class TestBuilderValidation:
         assert _raised(lambda: [_perturbed_population(config, tiers, row)
                                 for row in factors]) is expected
 
+    @pytest.mark.parametrize("module_mass, rows, bad", [
+        # frame + battery + module * 1.0 == 0.0 exactly
+        (None, [[1.0, 1.0, 1.0, 1.0]], 0),
+        (-5.0, [[1.0, 1.0, 1.0, 1.0]], 0),
+        # only trial 1's payload factor drives the ballast tier <= 0
+        (-2.0, [[1.0, 0.1, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]], 1),
+    ], ids=["zero", "negative", "second-trial"])
+    def test_nonpositive_total_mass_raises_the_scalar_error(
+            self, config, tiers, module_mass, rows, bad):
+        if module_mass is None:
+            module_mass = -(config.uav.frame_mass_kg
+                            + config.battery.mass_kg)
+        ladder = (*tiers[:2], ("ballast", tiers[0][1], module_mass, 1.0),
+                  *tiers[2:])
+        factors = np.array(rows)
+        mass = (config.uav.frame_mass_kg + config.battery.mass_kg
+                + module_mass * factors[bad, 1])
+        with pytest.raises(ConfigurationError) as scalar:
+            config.uav.hover_power_w(mass)
+        view = fleet_module._StudyRollouts(config, ladder, factors)
+        for gather in (lambda: _study_columns(config, ladder, factors),
+                       lambda: run_fleet(view),
+                       lambda: run_fleet(list(view))):
+            with pytest.raises(ConfigurationError) as raised:
+                gather()
+            assert str(raised.value) == str(scalar.value)
+
+    # A NaN payload factor flies NaN mass and power on both paths.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_mass_row_flies_nan_on_both_gathers(self, config, tiers):
+        factors = np.array([[1.0, 1.0, 1.0, 1.0],
+                            [1.0, math.nan, 1.0, 1.0]])
+        view = fleet_module._StudyRollouts(config, tuple(tiers), factors)
+        columns = run_fleet(view).results.columns
+        reference = run_fleet(list(view)).results.columns
+        for name in fleet_module._RESULT_COLUMNS:
+            np.testing.assert_array_equal(columns[name], reference[name],
+                                          err_msg=name)
+        width = len(tiers)
+        assert np.isnan(columns["hover_power"][width:]).all()
+        assert not np.isnan(columns["hover_power"][:width]).any()
+
+    def test_mixed_airframes_keep_their_own_hover_power(self, config,
+                                                         tiers):
+        twin = dataclasses.replace(config,
+                                   uav=dataclasses.replace(config.uav))
+        heavy = dataclasses.replace(config, uav=dataclasses.replace(
+            config.uav, rotor_disk_area_m2=0.05, avionics_power_w=7.0))
+        rollouts = [fleet_module.FleetRollout(
+            name=name, config=scenario, platform=platform,
+            compute_mass_kg=mass, compute_power_w=power)
+            for scenario, (name, platform, mass, power)
+            in zip((config, twin, heavy, heavy, config), tiers)]
+        columns = run_fleet(rollouts).results.columns
+        assert columns["hover_power"].tolist() == [
+            r.config.uav.hover_power_w(r.config.uav.frame_mass_kg
+                                       + r.config.battery.mass_kg
+                                       + r.compute_mass_kg)
+            for r in rollouts]
+
     def test_columns_match_rollout_gather(self, config, tiers):
         factors = FleetStudy(config=config, tiers=tiers, trials=3,
                              seed=0).factors()
@@ -330,3 +390,25 @@ class TestBuilderValidation:
             r.config.battery.usable_energy_j for r in rollouts]
         assert columns["period"].tolist() == [
             1.0 / r.config.sensor_rate_hz for r in rollouts]
+
+
+class TestSummaryCost:
+    @pytest.mark.parametrize("ladder", ["distinct", "pooled"])
+    def test_two_percentile_passes_per_tier_name(self, config, tiers,
+                                                 ladder, monkeypatch):
+        if ladder == "pooled":
+            tiers = [tiers[0], (tiers[0][0], *tiers[3][1:]), tiers[1]]
+        study = FleetStudy(config=config, tiers=tiers, trials=5, seed=2)
+        calls = []
+        percentile = np.percentile
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return percentile(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "percentile", counted)
+            study.run()
+        names = {name for name, _platform, _mass, _power in tiers}
+        assert len(calls) <= 2 * len(names)
+        _assert_matches_rollout_path(study)
