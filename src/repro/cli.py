@@ -251,24 +251,41 @@ def _run_mission(config, tiers, seed=None, json_path=None,
     return 0
 
 
-def _cmd_mission(args: argparse.Namespace) -> int:
-    from repro.hw import uav_compute_tiers
+def _patrol_config(world_seed: int, laps: int):
+    """The 40-obstacle patrol mission ``repro mission`` and ``repro
+    fleet`` fly."""
     from repro.kernels.planning import CircleWorld
     from repro.system import MissionConfig
 
     world = CircleWorld.random(dim=2, n_obstacles=40, extent=120.0,
                                radius_range=(1.0, 3.0),
-                               seed=args.seed, keep_corners_free=3.0)
-    config = MissionConfig(world=world, start=np.array([1.0, 1.0]),
-                           goal=np.array([118.0, 118.0]),
-                           laps=args.laps)
-    return _run_mission(config, uav_compute_tiers(), seed=args.seed,
+                               seed=world_seed, keep_corners_free=3.0)
+    return MissionConfig(world=world, start=np.array([1.0, 1.0]),
+                         goal=np.array([118.0, 118.0]), laps=laps)
+
+
+def _cmd_mission(args: argparse.Namespace) -> int:
+    from repro.hw import uav_compute_tiers
+
+    return _run_mission(_patrol_config(args.seed, args.laps),
+                        uav_compute_tiers(), seed=args.seed,
                         json_path=args.json,
                         trace_out=args.trace_out,
                         command_config={"command": "mission"})
 
 
-def _run_fleet(config, tiers, trials=64, seed=0, jobs=1,
+def _fleet_jobs_refused(jobs: Optional[int]) -> bool:
+    """Print why and return True for any ``--jobs`` but 1 on a fleet
+    study: studies run in-process."""
+    if jobs in (None, 1):
+        return False
+    print(f"--jobs {jobs}: fleet studies run in-process (a process"
+          " pool loses to the serial study); drop --jobs",
+          file=sys.stderr)
+    return True
+
+
+def _run_fleet(config, tiers, trials=64, seed=0,
                perturbation=None, chunk_size=None,
                json_path=None, trace_out=None,
                profile_out=None, command_config=None) -> int:
@@ -291,9 +308,6 @@ def _run_fleet(config, tiers, trials=64, seed=0, jobs=1,
     if trials < 1:
         print(f"--trials must be >= 1 (got {trials})", file=sys.stderr)
         return 2
-    if jobs < 1:
-        print(f"--jobs must be >= 1 (got {jobs})", file=sys.stderr)
-        return 2
     if chunk_size is not None and chunk_size < 1:
         print(f"--chunk-size must be >= 1 (got {chunk_size})",
               file=sys.stderr)
@@ -313,17 +327,12 @@ def _run_fleet(config, tiers, trials=64, seed=0, jobs=1,
         # working set the kernels allocate.
         profiler = SpanProfiler(cpu=True, memory=True)
         tracer.profiler = profiler
-        if jobs > 1:
-            print("note: --profile-out captures in-process phases;"
-                  " worker shards (--jobs > 1) report allocation"
-                  " totals only", file=sys.stderr)
     with contextlib.ExitStack() as stack:
         if tracer is not None:
             stack.enter_context(use_tracer(tracer))
         if profiler is not None:
             meter = stack.enter_context(measure_allocations())
-        result = study.run(jobs=jobs, metrics=metrics,
-                           chunk_size=chunk_size)
+        result = study.run(metrics=metrics, chunk_size=chunk_size)
     print(format_table(
         ["tier", "success", "time p50 (s)", "time p99 (s)",
          "energy p50 (kJ)", "failures"],
@@ -345,8 +354,7 @@ def _run_fleet(config, tiers, trials=64, seed=0, jobs=1,
     provenance = run_provenance(
         seed=seed,
         config={**(command_config or {}), "trials": trials,
-                "jobs": jobs, "chunk_size": chunk_size,
-                "laps": config.laps},
+                "chunk_size": chunk_size, "laps": config.laps},
     )
     if json_path:
         write_metrics_json(
@@ -409,19 +417,12 @@ def _short_fn(function: str) -> str:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.hw import uav_compute_tiers
-    from repro.kernels.planning import CircleWorld
-    from repro.system import MissionConfig
 
-    world = CircleWorld.random(dim=2, n_obstacles=40, extent=120.0,
-                               radius_range=(1.0, 3.0),
-                               seed=args.world_seed,
-                               keep_corners_free=3.0)
-    config = MissionConfig(world=world, start=np.array([1.0, 1.0]),
-                           goal=np.array([118.0, 118.0]),
-                           laps=args.laps)
-    return _run_fleet(config, uav_compute_tiers(), trials=args.trials,
-                      seed=args.seed, jobs=args.jobs,
-                      chunk_size=args.chunk_size,
+    if _fleet_jobs_refused(args.jobs):
+        return 2
+    return _run_fleet(_patrol_config(args.world_seed, args.laps),
+                      uav_compute_tiers(), trials=args.trials,
+                      seed=args.seed, chunk_size=args.chunk_size,
                       json_path=args.json, trace_out=args.trace_out,
                       profile_out=args.profile_out,
                       command_config={"command": "fleet",
@@ -626,9 +627,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             json_path=args.json, trace_out=args.trace_out,
             command_config=command_config)
     if isinstance(run, FleetScenario):
+        if _fleet_jobs_refused(args.jobs):
+            return 2
         return _run_fleet(
             run.config, run.tiers, trials=run.trials, seed=run.seed,
-            jobs=args.jobs if args.jobs is not None else run.jobs,
             perturbation=run.perturbation,
             chunk_size=run.chunk_size, json_path=args.json,
             trace_out=args.trace_out, command_config=command_config)
@@ -1233,7 +1235,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace-out", help="write a Chrome trace of the"
                                          " run (suite/mission)")
     run.add_argument("--jobs", type=int, default=None,
-                     help="override the scenario's process-pool width")
+                     help="override the scenario's process-pool width"
+                          " (suite/dse; fleet studies run in-process)")
     run.add_argument("--cache",
                      help="directory for the on-disk result cache;"
                           " shared with the suite/dse subcommands")
@@ -1269,10 +1272,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="perturbation RNG seed")
     fleet.add_argument("--world-seed", type=int, default=11,
                        help="obstacle-world generation seed")
-    fleet.add_argument("--jobs", type=int, default=1,
-                       help="shard the rollout population over a"
-                            " process pool of this width (results are"
-                            " identical to serial)")
+    # Studies run in-process; a stray --jobs gets a clear refusal.
+    fleet.add_argument("--jobs", type=int, default=None,
+                       help=argparse.SUPPRESS)
     fleet.add_argument("--chunk-size", type=int, default=None,
                        help="evaluate rollouts through a fixed-size"
                             " arena window of this many at a time"

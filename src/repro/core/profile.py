@@ -137,11 +137,16 @@ class WorkloadProfile:
         unless both agree.
         """
         total = self.total_ops + other.total_ops
+        lo = min(self.parallel_fraction, other.parallel_fraction)
+        hi = max(self.parallel_fraction, other.parallel_fraction)
         if total > 0:
             par = (self.parallel_fraction * self.total_ops
                    + other.parallel_fraction * other.total_ops) / total
+            # Subnormal op counts underflow the products (0.4 * 5e-324
+            # rounds to 0); a weighted mean never leaves its inputs' range.
+            par = min(hi, max(lo, par))
         else:
-            par = max(self.parallel_fraction, other.parallel_fraction)
+            par = hi
         order = [DivergenceClass.NONE, DivergenceClass.LOW,
                  DivergenceClass.HIGH]
         divergence = max(self.divergence, other.divergence,

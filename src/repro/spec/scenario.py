@@ -91,7 +91,6 @@ class FleetScenario:
         tiers: ``(name, platform, mass_kg, power_w)`` ladder rows.
         trials: Monte Carlo trials per tier.
         seed: Perturbation RNG seed.
-        jobs: Process-pool width (1 = serial; results identical).
         chunk_size: Stream rollouts through the engine in windows of
             this many (``None`` = whole population at once; results
             identical either way).
@@ -102,7 +101,6 @@ class FleetScenario:
     tiers: Tuple[Tier, ...]
     trials: int = 64
     seed: int = 0
-    jobs: int = 1
     chunk_size: Optional[int] = None
     perturbation: FleetPerturbation = field(
         default_factory=FleetPerturbation)
@@ -308,7 +306,6 @@ def _encode_fleet(run: FleetScenario) -> Dict[str, Any]:
         ],
         "trials": run.trials,
         "seed": run.seed,
-        "jobs": run.jobs,
         "perturbation": {
             key: getattr(run.perturbation, key)
             for key in _PERTURBATION_KEYS
@@ -348,6 +345,14 @@ def _decode_fleet(payload: Mapping[str, Any],
             f"{schema.child(path, 'trials')}: must be >= 1,"
             f" got {trials}"
         )
+    # Studies run in-process; "jobs": 1 is still accepted so older
+    # scenario files load.
+    jobs = schema.optional_int(payload, "jobs", path, 1)
+    if jobs != 1:
+        raise SpecError(
+            f"{schema.child(path, 'jobs')}: fleet studies run"
+            f" in-process, so only 1 is accepted, got {jobs}"
+        )
     perturbation = FleetPerturbation()
     if "perturbation" in payload:
         perturbation = _decode_perturbation(
@@ -355,7 +360,6 @@ def _decode_fleet(payload: Mapping[str, Any],
     return FleetScenario(
         config=config, tiers=tiers, trials=trials,
         seed=schema.optional_int(payload, "seed", path, 0),
-        jobs=_positive_jobs(payload, path),
         chunk_size=_optional_chunk_size(payload, path),
         perturbation=perturbation)
 

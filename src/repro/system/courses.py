@@ -44,8 +44,7 @@ from repro.system.mission import (
     plan_course,
 )
 
-__all__ = ["COURSE_STORE_SIZE", "ensure_course", "lookup_course",
-           "pin_course"]
+__all__ = ["COURSE_STORE_SIZE", "ensure_course", "lookup_course"]
 
 #: Courses the store keeps; past this bound the least recently used
 #: one is dropped.
@@ -95,14 +94,6 @@ def _memo_key(config: MissionConfig) -> Tuple:
             config.robot_radius_m, config.laps)
 
 
-def pin_course(memo: Dict, config: MissionConfig, course: Course) -> None:
-    """Record ``course`` in ``memo`` as the course of ``config``'s
-    planning inputs (a process-pool worker primes its memo this way with
-    the course its parent resolved)."""
-    memo[_memo_key(config)] = (config.world, config.start, config.goal,
-                               course)
-
-
 def lookup_course(config: MissionConfig, memo: Optional[Dict] = None
                   ) -> Tuple[Course, Optional[bool]]:
     """The course of ``config``, through the identity ``memo`` if given.
@@ -113,11 +104,12 @@ def lookup_course(config: MissionConfig, memo: Optional[Dict] = None
     """
     if memo is None:
         return _stored_course(config)
-    entry = memo.get(_memo_key(config))
+    key = _memo_key(config)
+    entry = memo.get(key)
     if entry is not None:
         return entry[-1], None
     course, planned = _stored_course(config)
-    pin_course(memo, config, course)
+    memo[key] = (config.world, config.start, config.goal, course)
     return course, planned
 
 

@@ -63,19 +63,15 @@ window.  A study never builds per-rollout objects on its critical
 path: its population is a view over the ``(trials, 4)`` factor
 matrix, gathered and priced as columns straight from that matrix, and
 :class:`FleetResult` owns plain result columns that become
-:class:`MissionResult` rows only when a caller reads them.  ``jobs >
-1`` sends each worker only its shard spec (config, tiers, a slice of
-the factor matrix) plus the course the parent resolved, so no worker
-plans, and takes back plain result columns, which the parent
-concatenates — no row objects are built on either side of the process
-boundary.
+:class:`MissionResult` rows only when a caller reads them.  Studies
+run in-process: a process pool, even a warm one, costs more than it
+saves at every study size a shipped scenario uses.
 """
 
 from __future__ import annotations
 
 import collections.abc
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -91,8 +87,8 @@ from repro.hw.batch import (
     is_soa_priceable,
 )
 from repro.hw.platform import Platform
-from repro.system.courses import ensure_course, lookup_course, pin_course
-from repro.system.mission import Course, MissionConfig, MissionResult
+from repro.system.courses import ensure_course, lookup_course
+from repro.system.mission import MissionConfig, MissionResult
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import get_alloc_meter
 from repro.telemetry.tracer import get_tracer
@@ -484,7 +480,7 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
                 arena = BatchArena()
             chunks = -(-len(rollouts) // chunk_size)
             result = _emit_fleet(rollouts, *_solve_windows(
-                rollouts, chunk_size, {}, arena))
+                rollouts, chunk_size, arena))
     _publish(result, span, metrics,
              **({"chunks": chunks} if chunks else {}))
     if chunks and metrics is not None:
@@ -499,8 +495,8 @@ def _publish(result: FleetResult, span,
              **span_args: int) -> None:
     """Stamp a ``fleet.run`` span and publish the ``fleet.*`` counters.
 
-    The one publication path for serial, chunked, and sharded runs, so
-    every caller reports the same names for the same totals.
+    The one publication path for whole and chunked runs, so every
+    caller reports the same names for the same totals.
     """
     if get_tracer().enabled and span.args is None:
         span.args = {"rollouts": len(result),
@@ -847,7 +843,7 @@ def _solve_columns(gathered: Dict[str, np.ndarray], ws: Workspace,
     # FleetResult.alloc_bytes and, when a measure_allocations() scope
     # is active, on the global meter.  View nbytes ignores arena
     # capacity, so the value is identical with or without an arena —
-    # between serial and sharded runs, and between the two gather paths.
+    # between whole and chunked runs, and between the two gather paths.
     soa_arrays = (
         *(gathered[name] for name in _GATHER_COLUMNS), compute_latency,
         staleness, latency, raw_speed, safe_speed, total_power,
@@ -872,7 +868,7 @@ def _solve_columns(gathered: Dict[str, np.ndarray], ws: Workspace,
 
 
 def _solve_windows(rollouts: Sequence[FleetRollout], chunk_size: int,
-                   memo: Dict, arena: BatchArena) -> _Solved:
+                   arena: BatchArena) -> _Solved:
     """:func:`_solve_range` through ``chunk_size``-rollout arena windows.
 
     Each window's borrowed arena columns are copied into owned
@@ -881,6 +877,7 @@ def _solve_windows(rollouts: Sequence[FleetRollout], chunk_size: int,
     the arena.  Counts and byte totals are summed over the windows.
     """
     n = len(rollouts)
+    memo: Dict = {}
     out: Dict[str, np.ndarray] = {}
     batch_priced = scalar_fallback = alloc_bytes = 0
     for lo in range(0, n, chunk_size):
@@ -896,28 +893,6 @@ def _solve_windows(rollouts: Sequence[FleetRollout], chunk_size: int,
         scalar_fallback += fell_back
         alloc_bytes += nbytes
     return out, batch_priced, scalar_fallback, alloc_bytes
-
-
-def _run_shard(task: Tuple[MissionConfig, Tuple[Tier, ...], np.ndarray,
-                           Optional[int], Course]) -> _Solved:
-    """Process-pool entry point for one contiguous trial range.
-
-    ``task`` is ``(config, tiers, factors, chunk_size, course)`` — the
-    shard's *spec*, with ``factors`` the shard's rows of the study's
-    factor matrix and ``course`` the course the parent resolved for
-    ``config``.  The worker pins that course in its memo (perturbed
-    configs share ``config``'s world and endpoints, so it never plans),
-    gathers its columns from its factor slice exactly as the serial
-    study gathers them from the whole matrix, solves them with a
-    private arena, and returns plain result columns plus counts; no
-    row objects are built on either side of the process boundary.
-    """
-    config, tiers, factors, chunk_size, course = task
-    memo: Dict = {}
-    pin_course(memo, config, course)
-    shard = _StudyRollouts(config, tiers, factors)
-    return _solve_windows(shard, chunk_size or len(shard), memo,
-                          BatchArena())
 
 
 # -- Monte Carlo layer -------------------------------------------------
@@ -1244,73 +1219,25 @@ class FleetStudy:
         they are read.
 
         Args:
-            jobs: Process-pool width.  ``jobs > 1`` splits the trials
-                into ``min(jobs, trials)`` contiguous shards; shards are
-                independent, so results are identical to the serial run.
-                The parent resolves the shared course before fan-out and
-                ships it with each shard, so no worker plans.
+            jobs: Kept so ``jobs=1`` callers keep working; any other
+                value raises.
             metrics: Optional registry for the ``fleet.*`` counters.
-            chunk_size: Stream the population (or each shard) through a
-                fixed-size arena window of at most this many rollouts,
-                bounding the peak working set; results are identical.
+            chunk_size: Stream the population through a fixed-size
+                arena window of at most this many rollouts, bounding the
+                peak working set; results are identical.
         """
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
+        if jobs != 1:
             raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}")
-        if min(jobs, self.trials) == 1:
-            fleet = run_fleet(self.rollouts(), metrics=metrics,
-                              chunk_size=chunk_size)
-        else:
-            fleet = self._run_sharded(jobs, chunk_size, metrics)
+                f"fleet studies run in-process (jobs=1), got jobs={jobs}: "
+                "a process pool loses to the serial study")
+        fleet = run_fleet(self.rollouts(), metrics=metrics,
+                          chunk_size=chunk_size)
         return FleetStudyResult(
             statistics=tuple(self._summarize(fleet)),
             fleet=fleet,
             trials=self.trials,
             seed=self.seed,
         )
-
-    def _run_sharded(self, jobs: int, chunk_size: Optional[int],
-                     metrics: Optional[MetricsRegistry]) -> FleetResult:
-        """Solve contiguous trial ranges in a process pool.
-
-        Each task carries only its shard spec and the course the parent
-        resolved (see :func:`_run_shard`) and comes back as result
-        columns; the parent concatenates them in shard order and wraps
-        them, with a rollout view over the same factor matrix, as the
-        serial run does.  Bit-identical to serial: same factor bytes,
-        same gather, same solve.  The parent builds no population of its
-        own, so all it does while the workers run is wait.
-        """
-        factors = self.factors()
-        workers = min(jobs, self.trials)
-        cuts = [self.trials * w // workers for w in range(workers + 1)]
-        tiers = tuple(self.tiers)
-        # Workers run without a tracer: span the fan-out from the
-        # parent so --trace-out still sees the run.
-        tracer = get_tracer()
-        with tracer.wall_span("fleet.run", track="fleet") as span:
-            with tracer.profile_span("fleet.plan",
-                                     track="fleet") as plan_span:
-                course, planned = lookup_course(self.config)
-                if tracer.enabled:
-                    plan_span.args = {"planned": int(planned),
-                                      "reused": int(not planned)}
-            tasks = [(self.config, tiers, factors[lo:hi], chunk_size,
-                      course) for lo, hi in zip(cuts, cuts[1:])]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                shards, priced, fell_back, nbytes = zip(
-                    *pool.map(_run_shard, tasks))
-            columns = {name: np.concatenate([shard[name]
-                                             for shard in shards])
-                       for name in _RESULT_COLUMNS}
-            fleet = _emit_fleet(_StudyRollouts(self.config, tiers,
-                                               factors),
-                                columns, sum(priced), sum(fell_back),
-                                sum(nbytes))
-        _publish(fleet, span, metrics, jobs=jobs)
-        return fleet
 
     def _summarize(self, fleet: FleetResult) -> List[TierStatistics]:
         """Per-tier statistics straight from the result columns.

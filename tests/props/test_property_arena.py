@@ -1,24 +1,15 @@
-"""Property-based contracts for the arena-backed memory layer.
+"""Property-based contract for the arena-backed memory layer.
 
-Two claims are under test, both strict (bit-for-bit, not approximate):
-
-1. **Arena reuse is invisible.**  A single :class:`BatchArena` carried
-   across generations of *varying* population sizes — including
-   shrink-then-grow sequences that exercise both the reuse path and the
-   capacity-doubling growth path — produces outputs bit-identical to
-   fresh allocation, for both the SoA pricing kernel
-   (:func:`repro.hw.batch.batch_estimate`) and the fleet engine
-   (:func:`repro.system.fleet.run_fleet`).  Arena buffers are undefined
-   at handoff, so any read-before-write bug in a kernel shows up here
-   as stale data from the *previous* generation leaking into this one.
-
-2. **Sharding is invisible.**  Splitting a :class:`FleetStudy`'s
-   trials over ``jobs=2`` pool workers, which return result columns,
-   gives results equal to the serial run — the pool changes where the
-   solve runs, never what it computes.
+**Arena reuse is invisible** (strict: bit-for-bit, not approximate).
+A single :class:`BatchArena` carried across generations of *varying*
+population sizes — including shrink-then-grow sequences that exercise
+both the reuse path and the capacity-doubling growth path — produces
+outputs bit-identical to fresh allocation, for both the SoA pricing
+kernel (:func:`repro.hw.batch.batch_estimate`) and the fleet engine
+(:func:`repro.system.fleet.run_fleet`).  Arena buffers are undefined at
+handoff, so any read-before-write bug in a kernel shows up here as
+stale data from the *previous* generation leaking into this one.
 """
-
-import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -117,18 +108,3 @@ def test_shrink_then_grow_never_corrupts():
         fresh = run_fleet(rollouts)
         assert reused.results == fresh.results
     assert arena.grows >= 1 and arena.reuses >= 1
-
-
-# -- process-pool shards ------------------------------------------------
-
-@settings(max_examples=6, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16),
-       trials=st.integers(min_value=2, max_value=5))
-def test_jobs2_equals_serial(seed, trials):
-    config = dataclasses.replace(_BASE, laps=1)
-    study = FleetStudy(config=config, tiers=_TIERS, trials=trials,
-                       seed=seed)
-    serial = study.run()
-    sharded = study.run(jobs=2)
-    assert sharded.fleet.results == serial.fleet.results
-    assert sharded.statistics == serial.statistics

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.characterize import amdahl_speedup, max_amdahl_speedup
@@ -38,8 +38,18 @@ def test_combined_conserves_counts(a, b):
                                       b.working_set_bytes)
 
 
+def _tiny(parallel_fraction):
+    """A profile whose only op count is the smallest subnormal float."""
+    return WorkloadProfile(name="p", flops=5e-324, int_ops=0.0,
+                           bytes_read=0.0, bytes_written=0.0,
+                           working_set_bytes=0.0,
+                           parallel_fraction=parallel_fraction,
+                           divergence=DivergenceClass.NONE)
+
+
 @settings(max_examples=60, deadline=None)
 @given(profiles(), profiles())
+@example(_tiny(0.4), _tiny(0.4))
 def test_combined_parallel_fraction_between_inputs(a, b):
     c = a.combined(b)
     lo = min(a.parallel_fraction, b.parallel_fraction)

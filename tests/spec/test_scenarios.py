@@ -100,7 +100,8 @@ class TestScenarioCodec:
         scenario = from_spec(_fleet_spec())
         run = scenario.run
         assert isinstance(run, FleetScenario)
-        assert (run.trials, run.seed, run.jobs) == (12, 7, 2)
+        assert (run.trials, run.seed) == (12, 7)
+        assert "jobs" not in to_spec(scenario)["fleet"]
         assert run.perturbation == FleetPerturbation(
             battery_capacity=0.05, payload_mass=0.1,
             sensor_rate=0.1, workload_scale=0.3)
@@ -111,7 +112,7 @@ class TestScenarioCodec:
     def test_fleet_defaults(self):
         run = from_spec(_fleet_spec(trials=None, seed=None, jobs=None,
                                     perturbation=None)).run
-        assert (run.trials, run.seed, run.jobs) == (64, 0, 1)
+        assert (run.trials, run.seed) == (64, 0)
         assert run.perturbation == FleetPerturbation()
 
     def test_chunk_size_round_trips(self):
@@ -170,7 +171,7 @@ def _fleet_spec(**overrides):
             "start": [1.0, 1.0], "goal": [28.0, 28.0],
         },
         "tiers": {"ref": "uav-ladder"},
-        "trials": 12, "seed": 7, "jobs": 2,
+        "trials": 12, "seed": 7, "jobs": 1,
         "perturbation": {"battery_capacity": 0.05,
                          "payload_mass": 0.1,
                          "sensor_rate": 0.1,
@@ -207,6 +208,13 @@ class TestScenarioValidation:
         with pytest.raises(SpecError,
                            match=r"\$\.dse\.jobs: must be >= 1"):
             from_spec(_dse_spec(jobs=0))
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_fleet_jobs_other_than_one_rejected(self, jobs):
+        with pytest.raises(SpecError,
+                           match=r"\$\.fleet\.jobs: fleet studies run"
+                                 r" in-process"):
+            from_spec(_fleet_spec(jobs=jobs))
 
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(SpecError,

@@ -3,7 +3,7 @@
 The load-bearing property is the equivalence contract: every rollout's
 result must be *exactly equal* — strict dataclass equality, every field
 — to per-rollout :func:`run_mission`.  The Monte Carlo layer is tested
-for determinism, paired draws, grouping, and parallel-shard identity.
+for determinism, paired draws, grouping, and its in-process-only run.
 """
 
 import dataclasses
@@ -294,15 +294,6 @@ class TestPlanTrace:
         assert _plan_spans(tracer) == [{"planned": 0, "reused": 1}]
         assert warm.to_rows() == cold.to_rows()
 
-    def test_sharded_study_plans_in_the_parent(self, store, tiers):
-        study = FleetStudy(config=_mission(), tiers=tiers, trials=4,
-                           seed=1)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            study.run(jobs=2)
-        assert _plan_spans(tracer) == [{"planned": 1, "reused": 0}]
-        assert len(store) == 1
-
 
 class TestTelemetry:
     def test_counters(self, config, tiers):
@@ -351,13 +342,13 @@ class TestAllocationAccounting:
         assert snapshot["fleet.alloc_bytes"]["value"] == \
             fleet.alloc_bytes
 
-    def test_parallel_shards_report_same_bytes(self, config, tiers):
+    def test_chunked_study_reports_same_bytes(self, config, tiers):
         study = FleetStudy(config=config, tiers=tiers, trials=6,
                            seed=2)
-        serial = study.run(jobs=1)
-        parallel = study.run(jobs=2)
-        assert serial.fleet.alloc_bytes > 0
-        assert parallel.fleet.alloc_bytes == serial.fleet.alloc_bytes
+        whole = study.run()
+        chunked = study.run(chunk_size=4)
+        assert whole.fleet.alloc_bytes > 0
+        assert chunked.fleet.alloc_bytes == whole.fleet.alloc_bytes
 
 
 class TestFirstCount:
@@ -449,15 +440,6 @@ class TestFleetStudy:
         assert best.mission_time_p50_s == min(
             s.mission_time_p50_s for s in result.statistics
             if s.success_rate == top)
-
-    def test_parallel_shards_identical(self, config, tiers):
-        study = FleetStudy(config=config, tiers=tiers, trials=6,
-                           seed=2)
-        serial = study.run(jobs=1)
-        parallel = study.run(jobs=2)
-        assert parallel.fleet.results == serial.fleet.results
-        assert parallel.statistics == serial.statistics
-        assert parallel.batch_priced == serial.batch_priced
 
     def test_zero_width_perturbation_pins_axes(self, config, tiers):
         study = FleetStudy(

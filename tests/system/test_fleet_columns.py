@@ -153,11 +153,6 @@ class TestColumnStudyEqualsRolloutPath:
                                                chunk_size=chunk_size)
         assert chunked.fleet.results == study.run().fleet.results
 
-    def test_jobs(self, config, tiers):
-        _assert_matches_rollout_path(
-            FleetStudy(config=config, tiers=tiers, trials=7, seed=6),
-            jobs=2)
-
     @pytest.mark.parametrize("seed, first", [(3, "battery"),
                                              (6, "timeout")])
     def test_failure_reasons_in_first_occurrence_order(self, config,

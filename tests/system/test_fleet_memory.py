@@ -1,10 +1,10 @@
-"""Fleet memory architecture: chunked streaming and sharded studies.
+"""Fleet memory architecture: chunked streaming.
 
 Complements ``tests/system/test_fleet.py`` (scalar equivalence,
-allocation accounting): here the contract is that ``chunk_size`` and
-``jobs`` change *where bytes live and move*, never what any result
-is — chunked == unchunked, jobs=N == serial — plus the telemetry
-those paths publish and the errors they raise when misconfigured.
+allocation accounting): here the contract is that ``chunk_size``
+changes *where bytes live*, never what any result is — chunked ==
+unchunked — plus the telemetry that path publishes and the errors
+misconfigured runs raise (a study runs in-process: ``jobs`` must be 1).
 """
 
 import numpy as np
@@ -14,14 +14,10 @@ from repro.engine.arena import BatchArena
 from repro.errors import ConfigurationError
 from repro.hw.catalog import uav_compute_tiers
 from repro.kernels.planning import CircleWorld
-from repro.system import courses
 from repro.system.fleet import (
     FleetStudy,
-    _run_shard,
-    _solve_windows,
     run_fleet,
 )
-from repro.system.mission import plan_course
 from repro.telemetry.metrics import MetricsRegistry
 
 _WORLD = CircleWorld.random(dim=2, n_obstacles=10, extent=25.0,
@@ -79,9 +75,9 @@ class TestChunkedRunFleet:
 
 
 class TestStudyJobs:
-    """``jobs`` shards the trials over a process pool; every observable
-    output equals the serial run's, chunked or not, including uneven
-    splits and fewer trials than jobs."""
+    """A study runs in-process only: ``jobs`` other than 1 is refused,
+    and ``chunk_size`` leaves every observable output equal to the
+    whole-population run, including windows that split trials."""
 
     @pytest.fixture(scope="class")
     def study(self, config):
@@ -93,22 +89,20 @@ class TestStudyJobs:
         return study.run()
 
     @pytest.mark.parametrize("trials", [2, 5, 7])
-    @pytest.mark.parametrize("chunk_size", [None, 3])
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_jobs_equals_serial(self, config, jobs, chunk_size, trials):
+    def test_chunked_equals_whole(self, config, trials):
         study = FleetStudy(config=config, tiers=uav_compute_tiers(),
                            trials=trials, seed=3)
-        serial_metrics = MetricsRegistry()
-        serial = study.run(metrics=serial_metrics)
+        whole_metrics = MetricsRegistry()
+        whole = study.run(jobs=1, metrics=whole_metrics)
         metrics = MetricsRegistry()
-        sharded = study.run(jobs=jobs, chunk_size=chunk_size,
-                            metrics=metrics)
-        assert sharded.fleet.results == serial.fleet.results
-        assert sharded.statistics == serial.statistics
-        assert sharded.batch_priced == serial.batch_priced
-        assert sharded.scalar_fallback == serial.scalar_fallback
+        chunked = study.run(chunk_size=3, metrics=metrics)
+        assert chunked.fleet.results == whole.fleet.results
+        assert chunked.statistics == whole.statistics
+        assert chunked.batch_priced == whole.batch_priced
+        assert chunked.scalar_fallback == whole.scalar_fallback
+        assert chunked.fleet.alloc_bytes == whole.fleet.alloc_bytes
         published = metrics.snapshot()
-        expected = serial_metrics.snapshot()
+        expected = whole_metrics.snapshot()
         for name in ("fleet.rollouts", "fleet.batch_hits"):
             assert published[name]["value"] == expected[name]["value"]
 
@@ -117,29 +111,11 @@ class TestStudyJobs:
         assert chunked.fleet.results == serial.fleet.results
         assert chunked.statistics == serial.statistics
 
-    @pytest.mark.parametrize("chunk_size", [None, 3])
-    def test_shard_never_plans(self, study, chunk_size, monkeypatch):
-        """A shard flies the course its task carries: with planning
-        disabled and an empty course store, it still returns the
-        columns the parent's own solve gives."""
-        factors = study.factors()
-        tiers = tuple(study.tiers)
-        rollouts = tuple(study.rollouts())
-        course = plan_course(study.config)
-        expected = _solve_windows(rollouts, chunk_size or len(rollouts),
-                                  {}, BatchArena())
-
-        def refuse(config):
-            raise AssertionError("a shard worker planned a course")
-
-        monkeypatch.setattr(courses, "_STORE", {})
-        monkeypatch.setattr(courses, "plan_course", refuse)
-        columns, priced, fell_back, nbytes = _run_shard(
-            (study.config, tiers, factors, chunk_size, course))
-        assert set(columns) == set(expected[0])
-        for name, column in expected[0].items():
-            np.testing.assert_array_equal(columns[name], column)
-        assert (priced, fell_back, nbytes) == expected[1:]
+    @pytest.mark.parametrize("jobs", [0, 2, 3])
+    def test_jobs_other_than_one_rejected(self, study, jobs):
+        with pytest.raises(ConfigurationError,
+                           match=f"in-process.*got jobs={jobs}"):
+            study.run(jobs=jobs)
 
     def test_invalid_chunk_size_rejected(self, study):
         with pytest.raises(ConfigurationError):

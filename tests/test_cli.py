@@ -228,7 +228,6 @@ class TestFleetCommand:
         json_path = tmp_path / "fleet.json"
         trace_path = tmp_path / "fleet_trace.json"
         assert main(["fleet", "--laps", "2", "--trials", "4",
-                     "--jobs", "2",
                      "--json", str(json_path),
                      "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
@@ -253,6 +252,13 @@ class TestFleetCommand:
     def test_bad_jobs_exits_nonzero(self, capsys):
         assert main(["fleet", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_parallel_jobs_refused(self, capsys):
+        assert main(["fleet", "--laps", "2", "--trials", "4",
+                     "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "in-process" in captured.err
+        assert "Fleet Monte Carlo" not in captured.out
 
 
 class TestTraceCommand:

@@ -112,6 +112,14 @@ class TestFleetEquivalence:
 
         assert _canon(_load(programmatic)) == _canon(_load(replayed))
 
+    def test_parallel_jobs_refused(self, tmp_path, capsys):
+        scenario = str(EXAMPLES / "fleet_montecarlo.json")
+        assert main(["run", scenario, "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "in-process" in captured.err
+        assert "Fleet Monte Carlo" not in captured.out
+        assert main(["run", scenario, "--jobs", "1"]) == 0
+
 
 class TestRunCommand:
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
