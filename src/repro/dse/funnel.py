@@ -257,7 +257,11 @@ class FunnelStrategy(SearchStrategy):
             return []
         if self.inner.finished():
             return []
-        batch = list(self.inner.ask())
+        batch = self.inner.ask()
+        if not isinstance(batch, list):
+            batch = list(batch)
+        # A Population slices to a Population, so the screen tier keys
+        # its batch from the index view.
         if self.screen_budget is not None:
             room = self.screen_budget - self._screened
             batch = batch[:room]

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dse.space import Config, DesignSpace
+from repro.dse.space import Config, DesignSpace, Population
 from repro.engine.cache import ResultCache
 from repro.engine.evaluator import EvalResult, Evaluator
 from repro.engine.protocol import SearchStrategy, run_search
@@ -174,10 +174,9 @@ class GridStrategy(ConfigStrategy):
             else self.limit
         self._next_index = 0
 
-    def ask(self) -> List[Config]:
+    def ask(self) -> Population:
         end = min(self._next_index + self.batch_size, self.limit)
-        batch = [self.space.config_at(i)
-                 for i in range(self._next_index, end)]
+        batch = self.space.configs(np.arange(self._next_index, end))
         self._next_index = end
         return batch
 
@@ -207,7 +206,7 @@ class RandomStrategy(ConfigStrategy):
             else len(self._configs)
         self._next_index = 0
 
-    def ask(self) -> List[Config]:
+    def ask(self) -> Population:
         end = min(self._next_index + self.batch_size,
                   len(self._configs))
         batch = self._configs[self._next_index:end]

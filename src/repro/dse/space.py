@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.fingerprint import try_fast_json
 from repro.errors import SearchError
 
 Config = Dict[str, Any]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,21 @@ class DesignSpace:
         if len(set(names)) != len(names):
             raise SearchError(f"duplicate parameter names: {names}")
         self.parameters = list(parameters)
-
-    @property
-    def size(self) -> int:
+        # Decode tables, derived once: the parameter list is immutable
+        # for the space's lifetime.
+        self._names = tuple(names)
+        self._values = tuple(p.values for p in self.parameters)
+        self._radices = tuple(p.cardinality for p in self.parameters)
         size = 1
-        for p in self.parameters:
-            size *= p.cardinality
-        return size
+        for radix in self._radices:
+            size *= radix
+        self.size = size
+        # config_at's insertion order: last parameter first.
+        self._decode_order = tuple(zip(reversed(self._names),
+                                       reversed(self._values),
+                                       reversed(self._radices)))
+        # (fragment table,) once looked up; None before.
+        self._fragments: Optional[tuple] = None
 
     def fingerprint_spec(self) -> Dict[str, Any]:
         """Identity for :func:`repro.engine.fingerprint.fingerprint`:
@@ -85,10 +96,76 @@ class DesignSpace:
                 f"index {index} out of range for space of size {self.size}"
             )
         config: Config = {}
-        for p in reversed(self.parameters):
-            index, digit = divmod(index, p.cardinality)
-            config[p.name] = p.values[digit]
+        for name, values, radix in self._decode_order:
+            index, digit = divmod(index, radix)
+            config[name] = values[digit]
         return config
+
+    def _checked(self, indices: Any) -> np.ndarray:
+        """``indices`` as a read-only 1-D index array (int64, or exact
+        Python ints for a space beyond int64), after one vectorized
+        bounds check that raises :meth:`config_at`'s error for the
+        first out-of-range index."""
+        flat = np.asarray(indices)
+        if flat.ndim != 1 or (flat.size and flat.dtype.kind not in "iuO"):
+            raise SearchError(
+                f"indices must be a 1-D integer sequence (got"
+                f" {flat.dtype} with shape {flat.shape})")
+        if flat.dtype.kind == "O" or self.size > _INT64_MAX:
+            flat = np.array([int(i) for i in flat.tolist()], dtype=object)
+        else:
+            flat = flat.astype(np.int64)  # a private copy
+        bad = (flat < 0) | (flat >= self.size)
+        if bad.any():
+            self.config_at(flat[int(np.argmax(bad))])  # raises
+        flat.flags.writeable = False
+        return flat
+
+    def _digit_columns(self, flat: np.ndarray) -> List[List[int]]:
+        """Mixed-radix digits of checked indices: one list per
+        parameter, in declaration order."""
+        columns: List[List[int]] = [[] for _ in self._radices]
+        for position in range(len(self._radices) - 1, 0, -1):
+            radix = self._radices[position]
+            columns[position] = (flat % radix).tolist()
+            flat = flat // radix
+        columns[0] = flat.tolist()
+        return columns
+
+    def configs(self, indices: Any) -> "Population":
+        """The configurations at a batch of flat indices, decoded in
+        one vectorized pass: a :class:`Population` equal to
+        ``[config_at(i) for i in indices]`` (same dicts, same key
+        order) that also carries the indices."""
+        flat = self._checked(indices)
+        picked = [list(map(values.__getitem__, column))
+                  for values, column in zip(self._values,
+                                            self._digit_columns(flat))]
+        names = tuple(reversed(self._names))
+        configs = [dict(zip(names, row))
+                   for row in zip(*reversed(picked))]
+        return Population(configs, self, flat)
+
+    def _fragment_table(
+            self) -> Optional[Tuple[Tuple[int, Tuple[str, ...]], ...]]:
+        """Pre-encoded ``"name":value`` JSON fragments, one tuple per
+        parameter (indexed by digit) with its declaration position, in
+        sorted-name order -- or None when a name is not a ``str`` or a
+        value is not plain JSON.  Built on first use."""
+        if self._fragments is None:
+            table = None
+            encoded = [[try_fast_json(value) for value in values]
+                       for values in self._values]
+            if all(type(name) is str for name in self._names) and not any(
+                    None in column for column in encoded):
+                table = tuple(
+                    (position, tuple(try_fast_json(self._names[position])
+                                     + ":" + value
+                                     for value in encoded[position]))
+                    for position in sorted(range(len(self._names)),
+                                           key=self._names.__getitem__))
+            self._fragments = (table,)
+        return self._fragments[0]
 
     def index_of(self, config: Config) -> int:
         """Flat index of a configuration (inverse of :meth:`config_at`)."""
@@ -108,15 +185,16 @@ class DesignSpace:
             yield self.config_at(index)
 
     def sample(self, rng: np.random.Generator, n: int = 1,
-               replace: bool = True) -> List[Config]:
-        """Uniformly sample ``n`` configurations."""
+               replace: bool = True) -> "Population":
+        """Uniformly sample ``n`` configurations (a :class:`Population`;
+        the RNG draw is the same one ``rng.choice`` always made)."""
         if not replace and n > self.size:
             raise SearchError(
                 f"cannot sample {n} unique configs from a space of"
                 f" {self.size}"
             )
         indices = rng.choice(self.size, size=n, replace=replace)
-        return [self.config_at(int(i)) for i in indices]
+        return self.configs(indices)
 
     def encode(self, config: Config) -> np.ndarray:
         """Numeric feature vector for surrogate models."""
@@ -149,3 +227,64 @@ class DesignSpace:
                     alt[p.name] = value
                     result.append(alt)
         return result
+
+
+class Population(list):
+    """A batch of configurations decoded from flat design indices.
+
+    It *is* the list ``[space.config_at(i) for i in indices]`` (same
+    dicts, same key order), and also carries ``space`` and ``indices``
+    so consumers can work on the index view: the evaluator derives a
+    whole batch's cache keys from the space's pre-encoded fragments
+    (:meth:`canonical_json`) instead of JSON-encoding each dict.
+
+    Build one with :meth:`DesignSpace.configs` (or ``sample``), which
+    keeps configs and indices in step.  Slicing keeps the indices;
+    every other copy (``list(...)``, ``+``, ``copy``, pickling) is a
+    plain list.  A population is read-only --
+    in-place list edits raise ``TypeError`` -- and its configs must be
+    treated as read-only too, since keys follow the indices.
+    """
+
+    __slots__ = ("space", "indices")
+
+    def __init__(self, configs: List[Config], space: DesignSpace,
+                 indices: np.ndarray):
+        super().__init__(configs)
+        self.space = space
+        self.indices = indices
+
+    def __getitem__(self, item: Any) -> Any:
+        if isinstance(item, slice):
+            return Population(list.__getitem__(self, item), self.space,
+                              self.indices[item])
+        return list.__getitem__(self, item)
+
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        return list, (list(self),)
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("a Population is read-only; copy it with list()")
+
+    append = extend = insert = pop = remove = clear = _read_only
+    sort = reverse = _read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+    def canonical_json(self) -> Optional[List[str]]:
+        """:func:`repro.engine.fingerprint.canonical_json` of every
+        config, byte for byte, joined from the space's fragment table
+        in one pass; ``None`` when the space's names or values are not
+        plain JSON (NaN, numpy scalars, enums, ...)."""
+        table = self.space._fragment_table()
+        if table is None:
+            return None
+        columns = self.space._digit_columns(self.indices)
+        last = len(table) - 1
+        parts = []
+        for rank, (position, fragments) in enumerate(table):
+            if rank == 0:
+                fragments = ["{" + f for f in fragments]
+            if rank == last:
+                fragments = [f + "}" for f in fragments]
+            parts.append(map(fragments.__getitem__, columns[position]))
+        return list(map(",".join, zip(*parts)))

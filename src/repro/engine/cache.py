@@ -28,7 +28,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import EngineError
 from repro.telemetry.metrics import MetricsRegistry
@@ -122,6 +122,22 @@ class ResultCache:
                 return True, value
         self._misses.inc()
         return False, None
+
+    def get_many(self, keys: Iterable[str]
+                 ) -> Tuple[Dict[str, Any], List[str]]:
+        """Probe ``keys`` in order with :meth:`get` (same counts, LRU
+        touch order and disk fall-through).  Returns ``(hits, misses)``:
+        the values found by key, and the keys missed, in probe order."""
+        found: Dict[str, Any] = {}
+        missed: List[str] = []
+        get = self.get
+        for key in keys:
+            hit, value = get(key)
+            if hit:
+                found[key] = value
+            else:
+                missed.append(key)
+        return found, missed
 
     def _insert(self, key: str, value: Any) -> None:
         """Memory-level insert with LRU eviction at ``max_entries``."""

@@ -6,7 +6,9 @@ Every search loop and suite run in the repo used to own a private
 - **Content addressing** — each candidate is fingerprinted together
   with the evaluator's ``context`` (a description of *what question* is
   being asked: objective identity, mapping policy, ...), so results are
-  shareable across runs and processes without identity games.
+  shareable across runs and processes without identity games.  A batch
+  decoded from design indices (a :class:`~repro.dse.space.Population`)
+  is keyed in one pass from pre-encoded fragments, to the same bytes.
 - **Caching** — a :class:`~repro.engine.cache.ResultCache` absorbs
   repeated candidates; a warm cache answers a whole re-run with zero
   oracle calls.
@@ -115,6 +117,9 @@ class EvalResult:
     seed: int
 
 
+_new_result = object.__new__
+
+
 def _timed_call(objective: Objective, candidate: Any, seed: int,
                 seeded: bool) -> Tuple[Any, float]:
     """Invoke the objective and self-time it (runs in pool workers too,
@@ -189,8 +194,8 @@ class Evaluator:
 
     # -- content addressing -------------------------------------------
 
-    def key_for(self, candidate: Any,
-                tier: Optional[str] = None) -> str:
+    def key_for(self, candidate: Any, tier: Optional[str] = None, *,
+                body: Optional[str] = None) -> str:
         """The content address of ``candidate`` under this context.
 
         ``tier`` names the fidelity namespace: ``None`` (the default,
@@ -198,6 +203,12 @@ class Evaluator:
         results are shared between direct and funnel-driven runs;
         lower tiers mix their name into the fingerprint so a cheap
         screen can never masquerade as a full-price result.
+
+        ``body`` is the candidate's canonical JSON when the caller
+        already has it (:meth:`keys_for` gets a whole population's in
+        one pass); it must equal
+        :func:`~repro.engine.fingerprint.try_fast_json` of
+        ``candidate``.
         """
         # Fast path: the wrapper's canonical JSON is assembled from a
         # precomputed context/tier suffix and the fast-encoded candidate
@@ -206,7 +217,8 @@ class Evaluator:
         # per call.  Candidates needing the full canonical reduction
         # fall back to fingerprinting the whole wrapper — which takes
         # the identical slow path, so keys agree either way.
-        body = try_fast_json(candidate)
+        if body is None:
+            body = try_fast_json(candidate)
         if body is None:
             if tier is None:
                 return fingerprint({"context": self._context_fp,
@@ -222,6 +234,26 @@ class Evaluator:
             self._key_suffixes[tier] = suffix
         return sha256(('{"candidate":' + body + suffix)
                       .encode("utf-8")).hexdigest()
+
+    def keys_for(self, candidates: Sequence[Any],
+                 tier: Optional[str] = None) -> List[str]:
+        """``[key_for(c, tier) for c in candidates]``.
+
+        A :class:`~repro.dse.space.Population` encodes its whole batch
+        in one pass (``canonical_json()`` joins its space's pre-encoded
+        ``"name":value`` fragments), and each key is then
+        :meth:`key_for` of that body, so only the wrapper and SHA-256
+        are left per candidate.  A population whose space is not plain
+        JSON (NaN, numpy scalars, enums) answers ``None`` and is encoded
+        per candidate, as is every other sequence.
+        """
+        encode = getattr(candidates, "canonical_json", None)
+        bodies = encode() if encode is not None else None
+        key_for = self.key_for
+        if bodies is None:
+            return [key_for(candidate, tier) for candidate in candidates]
+        return [key_for(candidate, tier, body=body)
+                for candidate, body in zip(candidates, bodies)]
 
     def seed_for(self, key: str) -> int:
         """Per-candidate seed: a pure function of (base seed, key).
@@ -267,7 +299,9 @@ class Evaluator:
 
         Duplicate candidates within the batch are priced once; repeat
         occurrences (and anything already cached) are marked
-        ``cached=True``.
+        ``cached=True``.  Keys come from :meth:`keys_for` (one pass for
+        a :class:`~repro.dse.space.Population`) and the distinct keys
+        are probed with one :meth:`ResultCache.get_many` call.
 
         ``tier`` selects a fidelity rung by name (or
         :class:`~repro.engine.protocol.FidelityTier`) from the
@@ -281,7 +315,9 @@ class Evaluator:
         resolved = self._resolve_tier(tier)
         tracer = self._tracer if self._tracer is not None else get_tracer()
         with tracer.wall_span("engine.map_batch", track="engine") as span:
-            results = self._map_batch(list(candidates), resolved)
+            results = self._map_batch(
+                candidates if isinstance(candidates, list)
+                else list(candidates), resolved)
         if tracer.enabled and span.args is None:
             fresh = sum(1 for r in results if not r.cached)
             span.args = {"batch": len(results), "oracle_calls": fresh,
@@ -303,19 +339,16 @@ class Evaluator:
             scalar_fn = tier.evaluate
             batch_fn = tier.evaluate_batch
             tier_name = tier.name
-        keys = [self.key_for(candidate, namespace)
-                for candidate in candidates]
-        values: Dict[str, Any] = {}
-        fresh_keys: set = set()
+        keys = self.keys_for(candidates, namespace)
+        # Probe each distinct key once, in first-occurrence order.
+        values, missed = self.cache.get_many(dict.fromkeys(keys))
         pending: Dict[str, Any] = {}
-        for key, candidate in zip(keys, candidates):
-            if key in values or key in pending:
-                continue
-            hit, value = self.cache.get(key)
-            if hit:
-                values[key] = value
-            else:
-                pending[key] = candidate
+        if missed:
+            for key, candidate in zip(keys, candidates):
+                if key not in pending and key not in values:
+                    pending[key] = candidate
+        # Wall time of each freshly priced key, popped by its first
+        # occurrence (later ones are repeats, marked cached).
         wall: Dict[str, float] = {}
         wall_histograms = [self.metrics.histogram("engine.eval_wall_s")]
         if tier_name is not None:
@@ -335,7 +368,6 @@ class Evaluator:
                     self.cache.put(key, value)
                     values[key] = value
                     wall[key] = wall_s
-                    fresh_keys.add(key)
                 if self.chunk_size is not None:
                     self._count("chunks", 1)
                     self.metrics.histogram("engine.chunk_occupancy") \
@@ -346,19 +378,20 @@ class Evaluator:
         self._count("cache_hits", len(candidates) - len(pending),
                     tier_name)
 
+        seed_for = self.seed_for
         results: List[EvalResult] = []
-        seen: set = set()
+        append = results.append
         for key, candidate in zip(keys, candidates):
-            first_fresh = key in fresh_keys and key not in seen
-            seen.add(key)
-            results.append(EvalResult(
-                candidate=candidate,
-                value=values[key],
-                key=key,
-                cached=not first_fresh,
-                wall_time_s=wall.get(key, 0.0) if first_fresh else 0.0,
-                seed=self.seed_for(key),
-            ))
+            wall_s = wall.pop(key, None) if wall else None
+            result = _new_result(EvalResult)
+            # Field for field what EvalResult(...) sets, without its
+            # six frozen-dataclass __setattr__ calls.
+            vars(result).update({
+                "candidate": candidate, "value": values[key],
+                "key": key, "cached": wall_s is None,
+                "wall_time_s": 0.0 if wall_s is None else wall_s,
+                "seed": seed_for(key)})
+            append(result)
         return results
 
     def _run_pending(self, candidates: List[Any], seeds: List[int],

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SpecError
 from repro.spec import schema
@@ -55,6 +55,9 @@ _OPS = ("ping", "submit", "stats", "shutdown")
 
 _SUBMIT_KEYS = ("op", "objective", "candidates", "space", "indices",
                 "tenant", "no_coalesce")
+
+#: Registered spaces by name, each built on its first submission.
+_SPACES_BUILT: Dict[str, Any] = {}
 
 
 def evaluator_context(objective_name: str) -> Dict[str, str]:
@@ -123,7 +126,7 @@ def decode_submission(payload: Mapping[str, Any]) -> Submission:
     through the SPACES registry) — both land on the exact config dicts
     the registries produce, so fingerprints match programmatic runs.
     """
-    from repro.spec.registry import OBJECTIVES, SPACES
+    from repro.spec.registry import OBJECTIVES
 
     schema.check_keys(payload, _SUBMIT_KEYS, "$")
     objective = schema.as_str(
@@ -150,23 +153,44 @@ def decode_submission(payload: Mapping[str, Any]) -> Submission:
     else:
         space_name = schema.as_str(
             schema.get_field(payload, "space", "$"), "$.space")
-        space = SPACES.build(space_name, "$.space")
+        space = _named_space(space_name)
         indices = schema.as_sequence(
             schema.get_field(payload, "indices", "$"), "$.indices")
-        candidates = []
         for i, index in enumerate(indices):
-            path = schema.item("$.indices", i)
-            index = schema.as_int(index, path)
-            if not 0 <= index < space.size:
-                raise SpecError(
-                    f"{path}: index {index} outside space"
-                    f" {space_name!r} (size {space.size})")
-            candidates.append(space.config_at(index))
+            if type(index) is not int:
+                # An earlier out-of-range index is reported first.
+                _check_bounds(indices[:i], space, space_name)
+                schema.as_int(index, schema.item("$.indices", i))
+        _check_bounds(indices, space, space_name)
+        candidates = space.configs(indices)
     if not candidates:
         raise SpecError("$: a submission must carry at least one"
                         " candidate")
     return Submission(objective=objective, candidates=candidates,
                       tenant=tenant, no_coalesce=no_coalesce)
+
+
+def _named_space(name: str) -> Any:
+    """The registered space ``name``, built once per process."""
+    space = _SPACES_BUILT.get(name)
+    if space is None:
+        from repro.spec.registry import SPACES
+        space = _SPACES_BUILT[name] = SPACES.build(name, "$.space")
+    return space
+
+
+def _check_bounds(indices: Sequence[int], space: Any,
+                  space_name: str) -> None:
+    """One pass over the whole index list (``min``/``max``); only a
+    failing list is walked to name its first bad index."""
+    if not indices or (min(indices) >= 0
+                       and max(indices) < space.size):
+        return
+    for i, index in enumerate(indices):
+        if not 0 <= index < space.size:
+            raise SpecError(
+                f"{schema.item('$.indices', i)}: index {index} outside"
+                f" space {space_name!r} (size {space.size})")
 
 
 def read_frame(handle: Any) -> Optional[bytes]:

@@ -20,8 +20,9 @@ ones.
 
 Equivalence contract: the server changes *when* and *with whom*
 candidates are priced, never *what* is priced.  Keys come from the
-lane evaluator's ``key_for`` (CLI-identical context), seeds are
-fingerprint-derived, and batch objectives are elementwise, so served
+lane evaluator's ``keys_for`` (``key_for`` byte for byte, under the
+CLI-identical context), seeds are fingerprint-derived, and batch
+objectives are elementwise, so served
 values — and the cache entries they leave behind — are byte-identical
 to a serial ``repro dse`` run; a server-primed cache replays ``repro
 run`` with zero oracle calls.
@@ -365,8 +366,7 @@ class EvalServer:
         # Classify before admitting: hits answer immediately whatever
         # the queue looks like; only genuinely new misses count
         # against the queue bound.
-        keys = [lane.evaluator.key_for(candidate)
-                for candidate in submission.candidates]
+        keys = lane.evaluator.keys_for(submission.candidates)
         resolved: Dict[str, Any] = {}
         new_keys: List[str] = []
         for key, candidate in zip(keys, submission.candidates):

@@ -109,6 +109,39 @@ class TestDecodeSubmission:
             decode_submission({"op": "submit", "space": "codesign",
                                "indices": [10**9]})
 
+    @pytest.mark.parametrize("indices, message", [
+        ([3, 256, -1], "$.indices[1]: index 256 outside space 'codesign'"
+                       " (size 256)"),
+        ([0, -1, 10**9], "$.indices[1]: index -1 outside space 'codesign'"
+                         " (size 256)"),
+        ([10**30], f"$.indices[0]: index {10**30} outside space"
+                   " 'codesign' (size 256)"),
+        # An out-of-range index ahead of a non-integer is reported first.
+        ([1, 999, "7"], "$.indices[1]: index 999 outside space 'codesign'"
+                        " (size 256)"),
+        ([1, True, 999], "$.indices[1]: expected an integer, got bool"),
+        ([1, 2.0], "$.indices[1]: expected an integer, got float"),
+    ])
+    def test_first_bad_index_is_named(self, indices, message):
+        with pytest.raises(SpecError) as raised:
+            decode_submission({"op": "submit", "space": "codesign",
+                               "indices": indices})
+        assert str(raised.value) == message
+
+    def test_space_indices_decode_as_a_population(self):
+        from repro.dse.space import Population
+
+        indices = [255, 0, 7, 7]
+        submission = decode_submission({
+            "op": "submit", "space": "codesign_xl", "indices": indices})
+        assert isinstance(submission.candidates, Population)
+        space = submission.candidates.space
+        assert submission.candidates == [space.config_at(i)
+                                         for i in indices]
+        again = decode_submission({
+            "op": "submit", "space": "codesign_xl", "indices": [1]})
+        assert again.candidates.space is space  # built once per process
+
     def test_unknown_key_rejected(self):
         with pytest.raises(SpecError, match="unknown"):
             decode_submission({"op": "submit", "candidates": [{}],
