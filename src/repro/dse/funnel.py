@@ -206,10 +206,9 @@ class FunnelStrategy(SearchStrategy):
         # means done.  Stage 0 proxies the inner strategy.
         self._stage = 0
         self._screened = 0
-        # Deduped (candidate, value) pool for the stage in flight,
-        # in arrival order; keys seen at the current stage.
-        self._pool: List[Tuple[Config, float]] = []
-        self._seen: set = set()
+        # The stage in flight's results, deduped by key: the first
+        # result of each key, in arrival order.
+        self._pool: Dict[str, EvalResult] = {}
         # Candidates promoted into the current stage, awaiting ask().
         self._incoming: Optional[List[Config]] = None
         self._asked_tier = self.tier_names[0]
@@ -274,34 +273,34 @@ class FunnelStrategy(SearchStrategy):
         if self._stage == 0:
             # The inner strategy steers on the cheap tier-0 signal.
             self.inner.tell(results)
+        add = self._pool.setdefault
         for result in results:
-            if result.key in self._seen:
-                continue
-            self._seen.add(result.key)
-            self._pool.append((result.candidate, result.value))
+            add(result.key, result)
         if self._stage == 0:
             return
         if self._stage == len(self.tier_names) - 1:
-            for candidate, value in self._pool:
-                self._ingest_top(candidate, value)
-            self._pool = []
+            self._drain_top()
             self._stage = len(self.tier_names)
         elif not self._incoming:
             # Mid-tier results are complete (one ask per mid tier):
             # gate them into the next stage.
             self._advance()
 
-    def _ingest_top(self, config: Config, value: float) -> None:
-        record(self.history, self.trace, config, value)
-        self._survivors[self.tier_names[-1]] += 1
-        if value < self.best_value:
-            self.best_value = value
-            self.best_config = config
+    def _drain_top(self) -> None:
+        """Ingest the pool as top-tier (full-fidelity) evaluations."""
+        for result in self._pool.values():
+            config, value = result.candidate, result.value
+            record(self.history, self.trace, config, value)
+            self._survivors[self.tier_names[-1]] += 1
+            if value < self.best_value:
+                self.best_value = value
+                self.best_config = config
+        self._pool = {}
 
     def _advance(self) -> None:
         """Apply the gate below the next tier and stage its survivors."""
         stage_name = self.tier_names[self._stage]
-        pool, self._pool, self._seen = self._pool, [], set()
+        pool, self._pool = list(self._pool.values()), {}
         if not pool:
             if self._stage == 0:
                 raise SearchError(
@@ -332,9 +331,7 @@ class FunnelStrategy(SearchStrategy):
         from repro.dse.search import SearchResult
         if len(self.tier_names) == 1:
             # Single-tier: history lives in the pool (screen == top).
-            for candidate, value in self._pool:
-                self._ingest_top(candidate, value)
-            self._pool = []
+            self._drain_top()
             self._stage = len(self.tier_names)
         if self.best_config is None:
             raise SearchError(
@@ -371,8 +368,7 @@ class FunnelStrategy(SearchStrategy):
         return rows
 
 
-def _apply_gate(gate: PromotionGate,
-                pool: Sequence[Tuple[Config, float]]
+def _apply_gate(gate: PromotionGate, pool: Sequence[EvalResult]
                 ) -> Tuple[List[Config], bool]:
     """Survivors of ``gate`` over ``pool``, best-first; the bool flags
     a forced promotion (everyone died, best candidate promoted anyway).
@@ -380,11 +376,11 @@ def _apply_gate(gate: PromotionGate,
     # Stable argsort == sorted(range(n), key=(value, index)): NumPy's
     # stable kind preserves arrival order among ties, and (unlike
     # Python sorted) costs O(n) Python work on a 100k-candidate pool.
-    values = np.fromiter((value for _, value in pool),
+    values = np.fromiter((result.value for result in pool),
                          dtype=np.float64, count=len(pool))
     order = np.argsort(values, kind="stable").tolist()
     if gate.threshold is not None:
-        keep = [i for i in order if pool[i][1] <= gate.threshold]
+        keep = [i for i in order if pool[i].value <= gate.threshold]
     else:
         assert gate.top_fraction is not None
         keep = order[:max(math.ceil(gate.top_fraction * len(pool)), 0)]
@@ -393,7 +389,7 @@ def _apply_gate(gate: PromotionGate,
     forced = not keep
     if forced:
         keep = order[:1]
-    return [pool[i][0] for i in keep], forced
+    return [pool[i].candidate for i in keep], forced
 
 
 def funnel_search(space: DesignSpace, objective: Any = None,

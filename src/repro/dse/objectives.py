@@ -32,7 +32,8 @@ from repro.dse.space import Config, DesignSpace, Parameter
 from repro.engine.arena import BatchArena
 from repro.engine.protocol import FidelityTier
 from repro.errors import SearchError
-from repro.hw.batch import PlatformSoA, ProfileSoA, batch_estimate
+from repro.hw.batch import (LazyNames, PlatformSoA, ProfileSoA,
+                             batch_estimate)
 from repro.hw.platform import AnalyticalPlatform, PlatformConfig
 from repro.spec.registry import OBJECTIVES, SPACES
 
@@ -145,6 +146,26 @@ def build_platform(config: Config) -> AnalyticalPlatform:
     ))
 
 
+#: The four co-design knobs, in :func:`codesign_space` order.
+_KNOBS = ("peak_gflops", "onchip_kb", "offchip_gbs", "static_power_w")
+
+
+def _as_list(configs: Sequence[Config]) -> List[Config]:
+    """``configs`` as a list, keeping a
+    :class:`~repro.dse.space.Population` (and its index view)."""
+    return configs if isinstance(configs, list) else list(configs)
+
+
+def _knob_columns(configs: List[Config]) -> Dict[str, np.ndarray]:
+    """Each knob as an array, read once: gathered from a
+    :class:`~repro.dse.space.Population`'s digits, else from the
+    dicts (the same ``np.array`` either way)."""
+    column = getattr(configs, "column", None)
+    if column is not None:
+        return {knob: column(knob) for knob in _KNOBS}
+    return {knob: np.array([c[knob] for c in configs]) for knob in _KNOBS}
+
+
 def encode_codesign(configs: Sequence[Config]) -> PlatformSoA:
     """SoA-encode a co-design population: the :func:`build_platform`
     lowering, transposed into columns for :func:`batch_estimate`.
@@ -155,26 +176,35 @@ def encode_codesign(configs: Sequence[Config]) -> PlatformSoA:
     platforms while skipping the per-candidate object construction
     that used to dominate screening cost.  The non-knob columns come
     from one template platform, which also runs the scalar lowering's
-    validation once; ``tests/dse/test_batch_objectives.py`` pins
-    equality against the object-by-object reference encode.
+    validation once.  Platform names are formatted only when first
+    read (:class:`~repro.hw.batch.LazyNames`); screens never read
+    them.  ``tests/dse/test_batch_objectives.py`` pins equality
+    against the object-by-object reference encode.
     """
-    configs = list(configs)
+    configs = _as_list(configs)
+    return _encode_codesign(configs, _knob_columns(configs))
+
+
+def _encode_codesign(configs: List[Config],
+                     knobs: Dict[str, np.ndarray]) -> PlatformSoA:
+    """:func:`encode_codesign` from already-read knob columns."""
     if not configs:
         return PlatformSoA.from_configs([])
     template = build_platform(configs[0]).config
     n = len(configs)
-    peak_gflops = np.array([c["peak_gflops"] for c in configs])
-    onchip_kb = np.array([c["onchip_kb"] for c in configs])
-    offchip_gbs = np.array([c["offchip_gbs"] for c in configs])
+    peak_gflops = knobs["peak_gflops"]
+    offchip_gbs = knobs["offchip_gbs"]
     peak_flops = peak_gflops * 1e9
+    snapshot = tuple(configs)
     return PlatformSoA(
-        names=tuple(_CODESIGN_NAME.format(**c) for c in configs),
+        names=LazyNames(n, lambda: tuple(
+            map(_CODESIGN_NAME.format_map, snapshot))),
         scalar_flops=np.full(n, template.scalar_flops),
         peak_flops=peak_flops,
         # peak_int_ops is left defaulted, so int throughput resolves
         # to peak_flops — knob-dependent, not a template constant.
         int_throughput=peak_gflops * 1e9,
-        onchip_bytes=onchip_kb * 1024.0,
+        onchip_bytes=knobs["onchip_kb"] * 1024.0,
         onchip_bw=(10.0 * offchip_gbs) * 1e9,
         offchip_bw=offchip_gbs * 1e9,
         launch_overhead_s=np.full(n, template.launch_overhead_s),
@@ -184,8 +214,7 @@ def encode_codesign(configs: Sequence[Config]) -> PlatformSoA:
             n, template.energy_per_byte_onchip),
         energy_per_byte_offchip=np.full(
             n, template.energy_per_byte_offchip),
-        static_power_w=np.array(
-            [c["static_power_w"] for c in configs]),
+        static_power_w=knobs["static_power_w"],
         area_mm2=np.full(n, template.area_mm2),
         lockstep=np.full(n, template.lockstep, dtype=bool),
     )
@@ -276,7 +305,7 @@ class SuiteObjective:
         differently), and workload totals accumulate in suite order —
         exactly the scalar loops, elementwise over the candidate axis.
         """
-        configs = list(configs)
+        configs = _as_list(configs)
         if not configs:
             return []
         soa = encode_codesign(configs)
@@ -318,7 +347,7 @@ class SuiteObjective:
         *values* deliberately differ from full fidelity — it is a
         screen, not a vectorization.
         """
-        configs = list(configs)
+        configs = _as_list(configs)
         if not configs:
             return []
         soa = encode_codesign(configs)
@@ -560,11 +589,12 @@ class MissionObjective:
         """
         from repro.system.robot import AIR_DENSITY, GRAVITY
 
-        configs = list(configs)
+        configs = _as_list(configs)
         if not configs:
             return []
         mission, course = self._setting()
-        cost = batch_estimate(encode_codesign(configs),
+        knobs = _knob_columns(configs)
+        cost = batch_estimate(_encode_codesign(configs, knobs),
                               self._frame_soa(), arena=_arena())
         compute = cost.latency_s[:, 0]
         period = 1.0 / mission.sensor_rate_hz
@@ -577,10 +607,9 @@ class MissionObjective:
             + 2.0 * mission.sensing_range_m / accel) - latency)
         safe_speed = np.minimum(raw_speed, mission.uav.max_speed_m_s)
         # codesign_payload, elementwise (same op order per element).
-        gflops = np.array([c["peak_gflops"] for c in configs])
+        gflops = knobs["peak_gflops"]
         payload_mass = 0.05 + 2.0e-4 * gflops
-        payload_power = np.array(
-            [c["static_power_w"] for c in configs]) + 0.015 * gflops
+        payload_power = knobs["static_power_w"] + 0.015 * gflops
         total_mass = (mission.uav.frame_mass_kg
                       + mission.battery.mass_kg + payload_mass)
         thrust = total_mass * GRAVITY

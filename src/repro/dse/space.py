@@ -74,6 +74,10 @@ class DesignSpace:
                                        reversed(self._radices)))
         # (fragment table,) once looked up; None before.
         self._fragments: Optional[tuple] = None
+        # Per parameter: its values as a float64 array when they are
+        # all Python floats (else None), built on first use.
+        self._float_values: Optional[Tuple[Optional[np.ndarray], ...]] \
+            = None
 
     def fingerprint_spec(self) -> Dict[str, Any]:
         """Identity for :func:`repro.engine.fingerprint.fingerprint`:
@@ -138,13 +142,13 @@ class DesignSpace:
         ``[config_at(i) for i in indices]`` (same dicts, same key
         order) that also carries the indices."""
         flat = self._checked(indices)
+        digits = self._digit_columns(flat)
         picked = [list(map(values.__getitem__, column))
-                  for values, column in zip(self._values,
-                                            self._digit_columns(flat))]
+                  for values, column in zip(self._values, digits)]
         names = tuple(reversed(self._names))
         configs = [dict(zip(names, row))
                    for row in zip(*reversed(picked))]
-        return Population(configs, self, flat)
+        return Population(configs, self, flat, digits)
 
     def _fragment_table(
             self) -> Optional[Tuple[Tuple[int, Tuple[str, ...]], ...]]:
@@ -166,6 +170,21 @@ class DesignSpace:
                                            key=self._names.__getitem__))
             self._fragments = (table,)
         return self._fragments[0]
+
+    def _float_table(self) -> Tuple[Optional[np.ndarray], ...]:
+        """Each parameter's values as a read-only float64 array when
+        every value is a Python ``float``, else ``None`` (built on
+        first use)."""
+        if self._float_values is None:
+            table = []
+            for values in self._values:
+                array = None
+                if all(type(value) is float for value in values):
+                    array = np.array(values, dtype=np.float64)
+                    array.flags.writeable = False
+                table.append(array)
+            self._float_values = tuple(table)
+        return self._float_values
 
     def index_of(self, config: Config) -> int:
         """Flat index of a configuration (inverse of :meth:`config_at`)."""
@@ -239,25 +258,35 @@ class Population(list):
     (:meth:`canonical_json`) instead of JSON-encoding each dict.
 
     Build one with :meth:`DesignSpace.configs` (or ``sample``), which
-    keeps configs and indices in step.  Slicing keeps the indices;
-    every other copy (``list(...)``, ``+``, ``copy``, pickling) is a
+    keeps configs and indices in step, and also the per-parameter
+    digit columns it decoded them with, so :meth:`canonical_json` and
+    :meth:`column` never decode again.  Slicing keeps the indices (and
+    digits); every other copy (``list(...)``, ``+``, ``copy``, pickling) is a
     plain list.  A population is read-only --
     in-place list edits raise ``TypeError`` -- and its configs must be
     treated as read-only too, since keys follow the indices.
     """
 
-    __slots__ = ("space", "indices")
+    __slots__ = ("space", "indices", "_digits")
 
     def __init__(self, configs: List[Config], space: DesignSpace,
-                 indices: np.ndarray):
+                 indices: np.ndarray,
+                 digits: Optional[List[List[int]]] = None):
         super().__init__(configs)
         self.space = space
         self.indices = indices
+        # Mixed-radix digits of ``indices``, one list per parameter in
+        # declaration order; decoded on first use when not given.
+        self._digits = digits
 
     def __getitem__(self, item: Any) -> Any:
         if isinstance(item, slice):
-            return Population(list.__getitem__(self, item), self.space,
-                              self.indices[item])
+            digits = self._digits
+            return Population(
+                list.__getitem__(self, item), self.space,
+                self.indices[item],
+                None if digits is None
+                else [column[item] for column in digits])
         return list.__getitem__(self, item)
 
     def __reduce_ex__(self, protocol: Any) -> Any:
@@ -270,6 +299,23 @@ class Population(list):
     sort = reverse = _read_only
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
 
+    def digits(self) -> List[List[int]]:
+        """The mixed-radix digits of :attr:`indices`: one list per
+        parameter, in declaration order (treat as read-only)."""
+        if self._digits is None:
+            self._digits = self.space._digit_columns(self.indices)
+        return self._digits
+
+    def column(self, name: str) -> np.ndarray:
+        """``np.array([config[name] for config in self])``: gathered
+        from the digits when every value of parameter ``name`` is a
+        Python float, else read from the configs."""
+        position = self.space._names.index(name)
+        values = self.space._float_table()[position]
+        if values is None:
+            return np.array([config[name] for config in self])
+        return values[self.digits()[position]]
+
     def canonical_json(self) -> Optional[List[str]]:
         """:func:`repro.engine.fingerprint.canonical_json` of every
         config, byte for byte, joined from the space's fragment table
@@ -278,7 +324,7 @@ class Population(list):
         table = self.space._fragment_table()
         if table is None:
             return None
-        columns = self.space._digit_columns(self.indices)
+        columns = self.digits()
         last = len(table) - 1
         parts = []
         for rank, (position, fragments) in enumerate(table):

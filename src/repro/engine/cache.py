@@ -28,7 +28,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping,
+                    Optional, Tuple)
 
 from repro.errors import EngineError
 from repro.telemetry.metrics import MetricsRegistry
@@ -153,22 +154,50 @@ class ResultCache:
         """Store ``value`` under ``key`` (memory, and disk when enabled).
 
         Disk writes are atomic (temp file + rename) so a cache directory
-        shared by parallel workers never exposes torn entries.
+        shared by parallel workers never exposes torn entries.  The
+        entry is encoded in one ``json.dumps`` and written in one call;
+        the directory is (re)created only when the temp file cannot be
+        made in it.
         """
         self._insert(key, value)
         if self.directory is None:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        document = {"key": key, "value": self._encode(value)}
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        data = json.dumps({"key": key, "value": self._encode(value)}
+                          ).encode("utf-8")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        except FileNotFoundError:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, self._path(key))
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+    def put_many(self, entries: Mapping[str, Any]) -> None:
+        """Store every ``key -> value`` of ``entries``, in order.
+
+        The cache ends exactly as a loop of :meth:`put` would leave it:
+        the same memory level and LRU order, the same evictions and
+        counters, and on disk one atomic ``<key>.json`` per entry
+        (written by :meth:`put`).  An unbounded memory-only cache takes
+        the whole window in one ``dict.update``: unbounded puts never
+        move an existing key nor evict.
+        """
+        if self.directory is not None:
+            put = self.put
+            for key, value in entries.items():
+                put(key, value)
+        elif self.max_entries is None:
+            self._memory.update(entries)
+        else:
+            insert = self._insert
+            for key, value in entries.items():
+                insert(key, value)
 
     def clear(self, *, disk: bool = False) -> None:
         """Drop the in-memory level (and the disk level when asked)."""

@@ -61,7 +61,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from hashlib import sha256
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.engine.cache import ResultCache
 from repro.engine.fingerprint import fingerprint, try_fast_json
@@ -301,7 +303,12 @@ class Evaluator:
         occurrences (and anything already cached) are marked
         ``cached=True``.  Keys come from :meth:`keys_for` (one pass for
         a :class:`~repro.dse.space.Population`) and the distinct keys
-        are probed with one :meth:`ResultCache.get_many` call.
+        are probed with one :meth:`ResultCache.get_many` call.  Each
+        fresh key's seed is derived once, and each priced window is
+        stored with one :meth:`ResultCache.put_many` call.  A batch
+        whose candidates are all distinct and uncached is handed to
+        the objective in slices of itself, so a Population keeps its
+        index view.
 
         ``tier`` selects a fidelity rung by name (or
         :class:`~repro.engine.protocol.FidelityTier`) from the
@@ -342,55 +349,74 @@ class Evaluator:
         keys = self.keys_for(candidates, namespace)
         # Probe each distinct key once, in first-occurrence order.
         values, missed = self.cache.get_many(dict.fromkeys(keys))
-        pending: Dict[str, Any] = {}
-        if missed:
-            for key, candidate in zip(keys, candidates):
-                if key not in pending and key not in values:
-                    pending[key] = candidate
-        # Wall time of each freshly priced key, popped by its first
-        # occurrence (later ones are repeats, marked cached).
-        wall: Dict[str, float] = {}
+        # The fresh keys (priced now) and their first-occurrence
+        # candidates.  When every candidate is distinct and missed (a
+        # cold screen) they are the batch itself, so a Population
+        # reaches the objective with its index view intact.
+        if len(missed) == len(keys):
+            fresh_keys, fresh = keys, candidates
+        elif missed:
+            first = dict(zip(reversed(keys), reversed(candidates)))
+            fresh_keys, fresh = missed, [first[key] for key in missed]
+        else:
+            fresh_keys, fresh = missed, []
+        # One seed per fresh key; cached keys derive theirs below.
+        seeds = list(map(self.seed_for, fresh_keys))
+        walls: List[float] = []
         wall_histograms = [self.metrics.histogram("engine.eval_wall_s")]
         if tier_name is not None:
             wall_histograms.append(self.metrics.histogram(
                 f"engine.tier.{tier_name}.eval_wall_s"))
-        if pending:
-            order = list(pending)
-            step = self.chunk_size or len(order)
-            for lo in range(0, len(order), step):
-                window = order[lo:lo + step]
-                outcomes = self._run_pending(
-                    [pending[k] for k in window],
-                    [self.seed_for(k) for k in window],
-                    scalar_fn, batch_fn, tier_name, wall_histograms,
-                )
-                for key, (value, wall_s) in zip(window, outcomes):
-                    self.cache.put(key, value)
-                    values[key] = value
-                    wall[key] = wall_s
-                if self.chunk_size is not None:
-                    self._count("chunks", 1)
-                    self.metrics.histogram("engine.chunk_occupancy") \
-                        .record(len(window) / step)
+        step = self.chunk_size or len(fresh_keys) or 1
+        for lo in range(0, len(fresh_keys), step):
+            window = fresh_keys[lo:lo + step]
+            priced, window_walls = self._run_pending(
+                fresh[lo:lo + step], seeds[lo:lo + step],
+                scalar_fn, batch_fn, tier_name, wall_histograms,
+            )
+            entries = dict(zip(window, priced))
+            self.cache.put_many(entries)
+            values.update(entries)
+            walls += window_walls
+            if self.chunk_size is not None:
+                self._count("chunks", 1)
+                self.metrics.histogram("engine.chunk_occupancy") \
+                    .record(len(window) / step)
         self._count("batches", 1)
         self._count("candidates", len(candidates), tier_name)
-        self._count("oracle_calls", len(pending), tier_name)
-        self._count("cache_hits", len(candidates) - len(pending),
+        self._count("oracle_calls", len(fresh_keys), tier_name)
+        self._count("cache_hits", len(candidates) - len(fresh_keys),
                     tier_name)
 
-        seed_for = self.seed_for
+        # Per candidate: its seed, and its wall time if this call priced
+        # it (None marks a cache hit or a repeat of a fresh key).
+        if fresh_keys is keys:
+            batch_seeds: Iterable[int] = seeds
+            batch_walls: Iterable[Optional[float]] = walls
+        elif fresh_keys:
+            seed_of = dict(zip(fresh_keys, seeds))
+            wall_of = dict(zip(fresh_keys, walls))
+            seed_for = self.seed_for
+            batch_seeds = [seed_of[key] if key in seed_of
+                           else seed_for(key) for key in keys]
+            batch_walls = [wall_of.pop(key, None) for key in keys]
+        else:
+            batch_seeds = map(self.seed_for, keys)
+            batch_walls = repeat(None)
         results: List[EvalResult] = []
         append = results.append
-        for key, candidate in zip(keys, candidates):
-            wall_s = wall.pop(key, None) if wall else None
+        for key, candidate, seed, wall_s in zip(keys, candidates,
+                                                batch_seeds, batch_walls):
             result = _new_result(EvalResult)
             # Field for field what EvalResult(...) sets, without its
             # six frozen-dataclass __setattr__ calls.
-            vars(result).update({
-                "candidate": candidate, "value": values[key],
-                "key": key, "cached": wall_s is None,
-                "wall_time_s": 0.0 if wall_s is None else wall_s,
-                "seed": seed_for(key)})
+            fields = vars(result)
+            fields["candidate"] = candidate
+            fields["value"] = values[key]
+            fields["key"] = key
+            fields["cached"] = wall_s is None
+            fields["wall_time_s"] = 0.0 if wall_s is None else wall_s
+            fields["seed"] = seed
             append(result)
         return results
 
@@ -399,9 +425,9 @@ class Evaluator:
                      batch_fn: Optional[Callable[..., Any]],
                      tier_name: Optional[str],
                      wall_histograms: List[StreamingHistogram]
-                     ) -> List[Tuple[Any, float]]:
-        """Price one window, recording its wall times into
-        ``wall_histograms``.
+                     ) -> Tuple[List[Any], List[float]]:
+        """Price one window: its values and per-candidate wall times,
+        which are also recorded into ``wall_histograms``.
 
         A batch call gives every candidate the same wall-time share,
         so that share is recorded once with a count.
@@ -422,7 +448,7 @@ class Evaluator:
                 self._count("batch_hits", len(values), tier_name)
                 for histogram in wall_histograms:
                     histogram.record(share, len(values))
-                return [(value, share) for value in values]
+                return values, [share] * len(values)
         if self.jobs == 1 or len(candidates) == 1:
             outcomes = [_timed_call(scalar_fn, candidate, seed,
                                     self.seeded)
@@ -446,7 +472,8 @@ class Evaluator:
         for _, wall_s in outcomes:
             for histogram in wall_histograms:
                 histogram.record(wall_s)
-        return outcomes
+        return [value for value, _ in outcomes], \
+            [wall_s for _, wall_s in outcomes]
 
     def _call_batch(self, batch_fn: Callable[..., Any],
                     candidates: List[Any],

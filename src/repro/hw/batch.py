@@ -34,6 +34,7 @@ reconfiguration, contention wrappers) must stay on the scalar path;
 
 from __future__ import annotations
 
+import collections.abc
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -52,6 +53,7 @@ from repro.telemetry.profiling import get_alloc_meter
 __all__ = [
     "BOUND_NAMES",
     "BatchCost",
+    "LazyNames",
     "PlatformSoA",
     "ProfileSoA",
     "batch_estimate",
@@ -99,6 +101,53 @@ def is_soa_priceable(platform: Platform) -> bool:
     return verdict
 
 
+class LazyNames(collections.abc.Sequence):
+    """A tuple of ``n`` names, built by ``build()`` on first read.
+
+    Equal (and hash-equal) to that tuple, and it pickles as the tuple;
+    ``len`` never builds it.  Lets an encoder skip formatting one name
+    per row when, as in a DSE screen, nobody reads the names.
+    """
+
+    __slots__ = ("_n", "_build", "_names")
+
+    def __init__(self, n: int, build: Callable[[], Tuple[str, ...]]):
+        self._n = n
+        self._build: Optional[Callable[[], Tuple[str, ...]]] = build
+        self._names: Optional[Tuple[str, ...]] = None
+
+    def _tuple(self) -> Tuple[str, ...]:
+        if self._names is None:
+            assert self._build is not None
+            self._names, self._build = tuple(self._build()), None
+        return self._names
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, item):
+        return self._tuple()[item]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LazyNames):
+            other = other._tuple()
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        return tuple, (self._tuple(),)
+
+
 def _column(items: Sequence, get: Callable) -> np.ndarray:
     return np.array([get(item) for item in items], dtype=float)
 
@@ -111,9 +160,10 @@ class PlatformSoA:
     the optional-with-default fields (``peak_int_ops``,
     ``energy_per_int_op``) are pre-resolved into ``int_throughput`` /
     ``int_energy`` exactly as the scalar properties resolve them.
+    ``names`` is a tuple, or a :class:`LazyNames` equal to one.
     """
 
-    names: Tuple[str, ...]
+    names: Sequence[str]
     scalar_flops: np.ndarray
     peak_flops: np.ndarray
     int_throughput: np.ndarray
@@ -222,7 +272,7 @@ class BatchCost:
     :data:`BOUND_NAMES`.
     """
 
-    platform_names: Tuple[str, ...]
+    platform_names: Sequence[str]
     profile_names: Tuple[str, ...]
     latency_s: np.ndarray
     energy_j: np.ndarray

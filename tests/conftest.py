@@ -1,11 +1,54 @@
-"""Shared fixtures for the repro test suite."""
+"""Shared fixtures for the repro test suite, and its hypothesis profiles.
+
+Two hypothesis profiles, chosen by ``HYPOTHESIS_PROFILE``:
+
+- ``default``: derandomized (examples derive from each test's own
+  code, and no example database is read), so a tier-1 verdict depends
+  only on the code.  Every test keeps its own ``max_examples``.
+- ``deep``: random, with 10x each test's ``max_examples``, for a
+  separate job that hunts new counterexamples.  Each one it finds is
+  pinned with an ``@example`` so the default profile checks it too.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.profile import DivergenceClass, WorkloadProfile
 from repro.hw import embedded_cpu, embedded_gpu, midrange_fpga
 from repro.kernels.planning.occupancy import CircleWorld
+
+#: ``deep`` runs this many times each test's ``max_examples``.
+DEEP_FACTOR = 10
+
+settings.register_profile("default", derandomize=True)
+settings.register_profile("deep", derandomize=False, deadline=None,
+                          print_blob=True)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.load_profile(PROFILE)
+
+
+def pytest_collection_modifyitems(items):
+    """Under ``deep``, scale every hypothesis test's ``max_examples``
+    (its own ``@settings`` value, else the profile's) by
+    :data:`DEEP_FACTOR`.  A ``@settings`` decorator overrides a
+    profile's ``max_examples``, so this is set on the test itself;
+    parametrized tests share one function and are scaled once."""
+    if PROFILE != "deep":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(getattr(item, "obj", None), "__func__",
+                       getattr(item, "obj", None))
+        current = getattr(test, "_hypothesis_internal_use_settings", None)
+        if current is None or not hasattr(test, "hypothesis") \
+                or id(test) in scaled:
+            continue
+        scaled.add(id(test))
+        test._hypothesis_internal_use_settings = settings(
+            current, max_examples=current.max_examples * DEEP_FACTOR)
 
 
 @pytest.fixture

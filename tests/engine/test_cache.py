@@ -126,3 +126,18 @@ class TestDiskLevel:
         cache.clear(disk=True)
         assert not list(tmp_path.glob("*.json"))
         assert not ResultCache(str(tmp_path)).get("k")[0]
+
+    def test_directory_created_on_first_write_and_recreated(self, tmp_path):
+        import shutil
+        import stat
+
+        directory = tmp_path / "nested" / "cache"
+        cache = ResultCache(str(directory))
+        assert not directory.exists()
+        cache.put("a", 1)
+        shutil.rmtree(tmp_path / "nested")  # removed while in use
+        cache.put("b", 2.5)
+        assert sorted(p.name for p in directory.iterdir()) == ["b.json"]
+        assert (directory / "b.json").read_bytes() == \
+            b'{"key": "b", "value": 2.5}'
+        assert stat.S_IMODE((directory / "b.json").stat().st_mode) == 0o600
