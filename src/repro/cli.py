@@ -1455,7 +1455,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on bad input (usage on stderr), 0 after
+        # --help: return that code, as the handlers' own checks do.
+        return stop.code
     handlers = {
         "suite": _cmd_suite,
         "audit": _cmd_audit,

@@ -413,8 +413,8 @@ def mission_setting(*, extent: float = 60.0, n_obstacles: int = 24,
     :class:`MissionObjective` flies: the mission config and its course,
     resolved here through the process-wide course store
     (:func:`repro.system.courses.ensure_course`), so equal settings
-    built twice plan once, and the fleet tier's ``run_fleet`` calls
-    find the course already stored.
+    built twice plan once.  Both the scalar path and the fleet tier
+    fly this course; neither asks the store again.
 
     The defaults reproduce the shared scenario of the module-level
     :data:`mission_objective`.  Heavier settings — a larger world, more
@@ -492,7 +492,9 @@ class MissionObjective:
     shared scenario through
     :func:`~repro.system.mission.run_mission`; ``evaluate_batch``
     flies the whole population through
-    :func:`~repro.system.fleet.run_fleet` instead.  The fleet engine's
+    :func:`~repro.system.fleet.run_fleet` instead, one tier per
+    candidate.  Both paths fly the course the setting holds, so an
+    in-place world edit cannot make them diverge.  The fleet engine's
     results are exactly equal to the scalar simulator's, and the score
     is a per-result Python reduction of those fields, so batch values
     are bit-identical to calling the objective per candidate — the
@@ -549,23 +551,19 @@ class MissionObjective:
         return _mission_score(result, mission.battery.usable_energy_j)
 
     def evaluate_batch(self, configs: Sequence[Config]) -> List[float]:
-        from repro.system.fleet import FleetRollout, run_fleet
+        from repro.system.fleet import _Population, run_fleet
 
         configs = list(configs)
         if not configs:
             return []
-        mission, _ = self._setting()
-        rollouts = []
+        mission, course = self._setting()
+        tiers = []
         for config in configs:
             mass_kg, power_w = codesign_payload(config)
-            rollouts.append(FleetRollout(
-                name="candidate",
-                config=mission,
-                platform=build_platform(config),
-                compute_mass_kg=mass_kg,
-                compute_power_w=power_w,
-            ))
-        fleet = run_fleet(rollouts, arena=_arena())
+            tiers.append(("candidate", build_platform(config), mass_kg,
+                          power_w))
+        fleet = run_fleet(_Population((mission,), tiers, len(tiers), 1,
+                                      course=course), arena=_arena())
         budget_j = mission.battery.usable_energy_j
         return [_mission_score(result, budget_j)
                 for result in fleet.results]

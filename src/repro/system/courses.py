@@ -5,8 +5,10 @@ a mission that no compute tier, battery, payload, sensor or workload
 perturbation changes.  :func:`ensure_course` is the single place a
 course is resolved: missions (:func:`~repro.system.mission.run_mission`
 and :func:`~repro.system.mission.sweep_compute_tiers` without an
-explicit course), fleet populations and studies, the mission objective
-and the benchmark runners all go through it.
+explicit course), fleet populations and studies, the mission
+objective's setting and the benchmark runners all go through it.  The
+objective's batch path then flies the course its setting holds, as
+its scalar path does, without asking the store again.
 
 Courses are keyed by a content fingerprint
 (:func:`repro.engine.fingerprint.fingerprint`) of the planning inputs:

@@ -40,12 +40,24 @@ reason.  Two ingredients make this hold at the bits:
 The contract is enforced by ``tests/system/test_fleet.py`` and the
 hypothesis suite ``tests/props/test_property_fleet.py``.
 
+**One population form**: a study, a rollout list and a batch of DSE
+candidates are all one ``_Population``, and the engine has one plan,
+one gather, one price and one solve over it.  A rollout list is
+adapted once; a study's rollout view already is one, so a study builds
+no rollout on its critical path.  A perturbed trial's rows come from
+``_perturbed_population``, the reference ``replace`` construction,
+which stays here: the study view builds its rows with it, callers
+re-fly those rows through ``run_mission``, and the gather re-raises
+invalid factors through it.
+
 **Courses** are planned once per process, not once per call: the
-``fleet.plan`` phase resolves each rollout's course through the
+``fleet.plan`` phase resolves each config's course through the
 content-keyed store of :mod:`repro.system.courses`, with a per-call
 identity memo so a population sharing one world computes one content
 key.  Perturbations never touch the world, so every study after the
-first over the same scenario finds its course in the store.
+first over the same scenario finds its course in the store.  A
+population with a held course (the mission objective's) skips the
+store altogether.
 
 On top of the engine, :class:`FleetStudy` runs seeded Monte Carlo
 sweeps: per-trial perturbations of battery capacity, payload mass,
@@ -59,10 +71,7 @@ through explicit ``out=`` ufunc calls into a
 operations, same association order, so the equivalence contract is
 untouched while steady-state sweeps stop allocating.  ``chunk_size``
 streams arbitrarily large populations through a fixed-size arena
-window.  A study never builds per-rollout objects on its critical
-path: its population is a view over the ``(trials, 4)`` factor
-matrix, gathered and priced as columns straight from that matrix, and
-:class:`FleetResult` owns plain result columns that become
+window.  :class:`FleetResult` owns plain result columns that become
 :class:`MissionResult` rows only when a caller reads them.  Studies
 run in-process: a process pool, even a warm one, costs more than it
 saves at every study size a shipped scenario uses.
@@ -88,7 +97,7 @@ from repro.hw.batch import (
 )
 from repro.hw.platform import Platform
 from repro.system.courses import ensure_course, lookup_course
-from repro.system.mission import MissionConfig, MissionResult
+from repro.system.mission import Course, MissionConfig, MissionResult
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import get_alloc_meter
 from repro.telemetry.tracer import get_tracer
@@ -154,8 +163,8 @@ class FleetResult:
 
     Attributes:
         rollouts: The population — exactly as submitted for
-            :func:`run_fleet`, or a study's lazily built rollout view
-            (see :meth:`FleetStudy.rollouts`).
+            :func:`run_fleet`, or a population view whose rows are
+            built when read (see :meth:`FleetStudy.rollouts`).
         results: Per-rollout :class:`MissionResult` rows, in input
             order, each exactly equal to ``run_mission`` on that
             rollout.
@@ -271,50 +280,169 @@ class _ResultRows(collections.abc.Sequence):
     __hash__ = None  # type: ignore[assignment]
 
 
-class _StudyRollouts(collections.abc.Sequence):
-    """A study population as a view over its factor matrix.
+def _dedup(items: Sequence, key=id) -> Tuple[List, np.ndarray]:
+    """Distinct ``items`` (by ``key``) in first-appearance order, and
+    each item's index among them."""
+    first: Dict = {}
+    of = [first.setdefault(key(item), (len(first), item))[0]
+          for item in items]
+    return [item for _, item in first.values()], np.array(of, np.intp)
 
-    Rollout ``i`` flies trial ``i // T`` on tier ``i % T`` (``T`` tiers,
-    trial-major).  The engine reads ``config``, ``tiers`` and
-    ``factors`` as columns and never builds a rollout; a
-    :class:`FleetRollout` is built only when read, and each trial's
-    rollouts are built together on first access and kept, so the tiers
-    of a trial share one perturbed config object.  Slices return
-    tuples.
+
+class _Population(collections.abc.Sequence):
+    """A fleet population in the one form the engine reads.
+
+    Rollouts form a trial-major ``(trials, width)`` grid: rollout ``i``
+    is slot ``i % width`` of trial ``i // width``.  Trial ``t`` flies
+    ``configs[config_of[t]]``, perturbed by row ``t`` of the
+    ``(trials, 4)`` factor matrix when there is one.  ``tiers`` is the
+    ``(name, platform, module mass, power)`` table: either ``width``
+    tiers that every trial flies (a study), or one tier per rollout
+    (a rollout list or a candidate batch, ``width`` 1).  A factor
+    matrix perturbs one base config flown on shared tiers: the study
+    form.  ``course``, when set, is a course the caller already holds
+    for every config; otherwise the plan step resolves each config's
+    course through the store.
+
+    The engine reads it as columns, one :meth:`window` of rows at a
+    time, so chunk windows cut every population the same way.  As a
+    sequence it is a read-only view of :class:`FleetRollout` rows,
+    built only when read: a trial's rollouts are built together on
+    first access and kept, so the tiers of a trial share one config
+    object.  A perturbed trial is built by :func:`_perturbed_population`.
+    Slices return tuples.
     """
 
-    __slots__ = ("config", "tiers", "factors", "_trials")
+    __slots__ = ("configs", "tiers", "trials", "width", "config_of",
+                 "factors", "course", "_rows", "_tables")
 
-    def __init__(self, config: MissionConfig, tiers: Tuple[Tier, ...],
-                 factors: np.ndarray) -> None:
-        self.config = config
-        self.tiers = tiers
+    def __init__(self, configs: Sequence[MissionConfig],
+                 tiers: Sequence[Tier], trials: int, width: int, *,
+                 config_of: Optional[np.ndarray] = None,
+                 factors: Optional[np.ndarray] = None,
+                 course: Optional[Course] = None) -> None:
+        self.configs = tuple(configs)
+        self.tiers = tuple(tiers)
+        self.trials = trials
+        self.width = width
+        self.config_of = (np.zeros(trials, dtype=np.intp)
+                          if config_of is None else config_of)
         self.factors = factors
-        self._trials: Dict[int, Tuple[FleetRollout, ...]] = {}
+        self.course = course
+        self._rows: Dict[int, Tuple[FleetRollout, ...]] = {}
+        self._tables: Optional[Dict] = None
+
+    @classmethod
+    def study(cls, config: MissionConfig, tiers: Sequence[Tier],
+              factors: np.ndarray) -> "_Population":
+        """Every tier flies every trial of ``config`` perturbed by the
+        ``(trials, 4)`` ``factors``."""
+        tiers = tuple(tiers)
+        factors = np.asarray(factors, dtype=float)
+        return cls((config,), tiers, len(factors), len(tiers),
+                   factors=factors)
+
+    @classmethod
+    def of_rollouts(cls, rollouts: Sequence[FleetRollout]
+                    ) -> "_Population":
+        """A rollout list, one trial per rollout; configs are
+        deduplicated by identity, so each one's values are read once."""
+        configs, config_of = _dedup([rollout.config
+                                     for rollout in rollouts])
+        return cls(configs, [(rollout.name, rollout.platform,
+                              rollout.compute_mass_kg,
+                              rollout.compute_power_w)
+                             for rollout in rollouts],
+                   len(rollouts), 1, config_of=config_of)
+
+    def window(self, lo: int, hi: int) -> Tuple[slice, slice]:
+        """Rows ``[lo, hi)`` as the trials they span, and the rows
+        within that trials-by-width block."""
+        first, last = lo // self.width, -(-hi // self.width)
+        offset = first * self.width
+        return slice(first, last), slice(lo - offset, hi - offset)
+
+    def tables(self) -> Dict:
+        """Per-config and per-tier values, read once per population.
+
+        Configs, profiles and platforms are told apart by identity,
+        airframes by equality.  Per-tier arrays have shape
+        ``(1, width)`` for shared tiers, ``(trials, width)`` otherwise.
+        """
+        if self._tables is None:
+            configs = self.configs
+            profiles, profile_of = _dedup([config.frame_profile
+                                           for config in configs])
+            uavs, uav_of = _dedup([config.uav for config in configs])
+            airframes, airframe_of = _dedup(uavs, key=lambda uav: uav)
+            platforms, platform_of = _dedup([platform for _, platform, _, _
+                                             in self.tiers])
+            values = np.array([(
+                config.sensor_rate_hz, config.actuation_latency_s,
+                config.sensing_range_m, config.uav.max_accel_m_s2,
+                config.uav.max_speed_m_s, config.time_step_s,
+                config.max_duration_s, config.battery.capacity_wh,
+                config.battery.usable_fraction,
+                config.uav.frame_mass_kg + config.battery.mass_kg,
+            ) for config in configs], dtype=float).reshape(-1, 10)
+            shape = (-1, self.width)
+            self._tables = {
+                **dict(zip(("rate", "actuation", "sensing_range", "accel",
+                            "max_speed", "dt", "max_duration", "capacity",
+                            "usable", "base_mass"), values.T)),
+                "profiles": profiles, "profile": profile_of,
+                "airframes": airframes, "airframe": airframe_of[uav_of],
+                "platforms": platforms,
+                "platform": platform_of.reshape(shape),
+                "priceable": np.array([is_soa_priceable(platform)
+                                       for platform in platforms],
+                                      dtype=bool),
+                "mass": np.array([mass for _, _, mass, _ in self.tiers],
+                                 dtype=float).reshape(shape),
+                "power": np.array([power for _, _, _, power in self.tiers],
+                                  dtype=float).reshape(shape),
+            }
+        return self._tables
+
+    def per_trial(self, values: np.ndarray, trials: slice):
+        """A per-config table's values for ``trials``: the one value of
+        a one-config population, else a ``(trials, 1)`` column."""
+        if len(values) == 1:
+            return values[0]
+        return values[self.config_of[trials]][:, None]
+
+    def per_tier(self, values: np.ndarray, trials: slice) -> np.ndarray:
+        """A per-tier table's block for ``trials``."""
+        return values if len(values) == 1 else values[trials]
 
     def __len__(self) -> int:
-        return len(self.factors) * len(self.tiers)
+        return self.trials * self.width
 
     def _trial(self, trial: int) -> Tuple[FleetRollout, ...]:
-        rows = self._trials.get(trial)
+        rows = self._rows.get(trial)
         if rows is None:
-            rows = self._trials[trial] = _perturbed_population(
-                self.config, self.tiers, self.factors[trial])
+            config = self.configs[self.config_of[trial]]
+            tiers = (self.tiers if len(self.tiers) == self.width else
+                     self.tiers[trial * self.width:(trial + 1) * self.width])
+            rows = self._rows[trial] = (
+                tuple(tier_rollouts(config, tiers)) if self.factors is None
+                else _perturbed_population(config, tiers,
+                                           self.factors[trial]))
         return rows
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        trial, tier = divmod(_position(index, len(self)), len(self.tiers))
-        return self._trial(trial)[tier]
+        trial, slot = divmod(_position(index, len(self)), self.width)
+        return self._trial(trial)[slot]
 
     def __iter__(self) -> Iterator[FleetRollout]:
-        for trial in range(len(self.factors)):
+        for trial in range(self.trials):
             yield from self._trial(trial)
 
     def __eq__(self, other) -> bool:
-        # Compares as the tuple of rollouts it used to be.
-        if isinstance(other, (_StudyRollouts, tuple)):
+        # Compares as the tuple of rollouts it stands for.
+        if isinstance(other, (_Population, tuple)):
             return tuple(self) == tuple(other)
         return NotImplemented
 
@@ -413,18 +541,13 @@ _RESULT_COLUMNS: Tuple[str, ...] = (
     "hover_power", "total_mass", "endurance",
 )
 
-#: Solve-phase inputs the gather and price phases produce, one ``(n,)``
-#: column each, whichever path (rollout objects or a study's factor
-#: matrix) produced them.
+#: Solve-phase inputs the plan, gather and price phases produce, one
+#: ``(n,)`` column each.
 _GATHER_COLUMNS: Tuple[str, ...] = (
     "period", "actuation", "sensing_range", "accel", "max_speed", "dt",
     "max_duration", "budget", "length", "total_mass", "hover_power",
     "compute_power",
 )
-
-#: Solve result: ``(columns, batch_priced, scalar_fallback, alloc_bytes)``.
-_Solved = Tuple[Dict[str, np.ndarray], int, int, int]
-
 
 def run_fleet(rollouts: Sequence[FleetRollout], *,
               metrics: Optional[MetricsRegistry] = None,
@@ -435,11 +558,12 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
     Args:
         rollouts: The population; rollouts may freely share worlds,
             platforms, and frame profiles (sharing is what makes the
-            batch block small — platforms and profiles are deduplicated
-            by identity before pricing).  A study's rollout view
-            (:meth:`FleetStudy.rollouts`) is gathered and priced as
-            columns straight from its factor matrix, without building
-            a single rollout.
+            batch block small — configs, platforms and profiles are
+            deduplicated by identity before pricing).  A rollout
+            sequence is adapted once into the engine's population form;
+            a study's rollout view (:meth:`FleetStudy.rollouts`) already
+            is one, so it is gathered and priced as columns straight
+            from its factor matrix, without building a single rollout.
         metrics: Optional registry receiving ``fleet.rollouts``,
             ``fleet.batch_hits``, ``fleet.batch_fallbacks``, and (when
             chunked) ``fleet.chunks`` / ``fleet.arena_occupancy_pct``.
@@ -466,275 +590,274 @@ def run_fleet(rollouts: Sequence[FleetRollout], *,
         A :class:`FleetResult` whose per-rollout results are exactly
         equal to :func:`~repro.system.mission.run_mission`.
     """
-    if not isinstance(rollouts, _StudyRollouts):
+    if isinstance(rollouts, _Population):
+        population = rollouts
+    else:
         rollouts = tuple(rollouts)
+        population = _Population.of_rollouts(rollouts)
+    n = len(population)
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(
             f"chunk_size must be >= 1, got {chunk_size}")
-    chunks = 0
-    with get_tracer().wall_span("fleet.run", track="fleet") as span:
-        if chunk_size is None or chunk_size >= len(rollouts):
-            result = _run_fleet(rollouts, arena)
-        else:
-            if arena is None:
-                arena = BatchArena()
-            chunks = -(-len(rollouts) // chunk_size)
-            result = _emit_fleet(rollouts, *_solve_windows(
-                rollouts, chunk_size, arena))
-    _publish(result, span, metrics,
-             **({"chunks": chunks} if chunks else {}))
-    if chunks and metrics is not None:
-        metrics.counter("fleet.chunks").inc(chunks)
-        metrics.counter("fleet.arena_occupancy_pct").inc(
-            int(100 * arena.occupancy()))
-    return result
-
-
-def _publish(result: FleetResult, span,
-             metrics: Optional[MetricsRegistry],
-             **span_args: int) -> None:
-    """Stamp a ``fleet.run`` span and publish the ``fleet.*`` counters.
-
-    The one publication path for whole and chunked runs, so every
-    caller reports the same names for the same totals.
-    """
-    if get_tracer().enabled and span.args is None:
-        span.args = {"rollouts": len(result),
-                     "batch_priced": result.batch_priced,
-                     "scalar_fallback": result.scalar_fallback,
-                     "alloc_bytes": result.alloc_bytes, **span_args}
-    if metrics is None:
-        return
-    metrics.counter("fleet.rollouts").inc(len(result))
-    for name, value in (("fleet.batch_hits", result.batch_priced),
-                        ("fleet.batch_fallbacks", result.scalar_fallback),
-                        ("fleet.alloc_bytes", result.alloc_bytes)):
-        if value:
-            metrics.counter(name).inc(value)
-
-
-def _run_fleet(rollouts: Sequence[FleetRollout],
-               arena: Optional[BatchArena] = None) -> FleetResult:
-    if not len(rollouts):
-        return FleetResult(rollouts=rollouts, results=(), batch_priced=0,
-                           scalar_fallback=0)
-    return _emit_fleet(rollouts, *_solve_range(rollouts, 0, len(rollouts),
-                                               {}, arena),
-                       borrowed=arena is not None)
-
-
-def _emit_fleet(rollouts: Sequence[FleetRollout],
-                columns: Dict[str, np.ndarray], batch_priced: int,
-                scalar_fallback: int, alloc_bytes: int, *,
-                borrowed: bool = False) -> FleetResult:
-    """Wrap solved columns and their counts as a :class:`FleetResult`.
-
-    ``borrowed`` columns are arena views: the result copies them, so it
-    owns every column it reads rows from.
-    """
-    with get_tracer().profile_span("fleet.emit", track="fleet"):
-        results = _ResultRows({
-            name: columns[name].copy() if borrowed else columns[name]
-            for name in _RESULT_COLUMNS})
+    chunks = -(-n // chunk_size) if chunk_size and chunk_size < n else 0
+    if chunks and arena is None:
+        arena = BatchArena()
+    tracer = get_tracer()
+    with tracer.wall_span("fleet.run", track="fleet") as span:
+        results: Sequence[MissionResult] = ()
+        priced = fell_back = alloc_bytes = 0
+        if n:
+            columns, priced, fell_back, alloc_bytes = _solve_windows(
+                population, chunk_size if chunks else n, arena)
+            with tracer.profile_span("fleet.emit", track="fleet"):
+                results = _ResultRows(columns)
+    if tracer.enabled and span.args is None:
+        span.args = {"rollouts": n, "batch_priced": priced,
+                     "scalar_fallback": fell_back,
+                     "alloc_bytes": alloc_bytes,
+                     **({"chunks": chunks} if chunks else {})}
+    if metrics is not None:
+        metrics.counter("fleet.rollouts").inc(n)
+        for name, value in (("fleet.batch_hits", priced),
+                            ("fleet.batch_fallbacks", fell_back),
+                            ("fleet.alloc_bytes", alloc_bytes)):
+            if value:
+                metrics.counter(name).inc(value)
+        if chunks:
+            metrics.counter("fleet.chunks").inc(chunks)
+            metrics.counter("fleet.arena_occupancy_pct").inc(
+                int(100 * arena.occupancy()))
     return FleetResult(rollouts=rollouts, results=results,
-                       batch_priced=batch_priced,
-                       scalar_fallback=scalar_fallback,
+                       batch_priced=priced, scalar_fallback=fell_back,
                        alloc_bytes=alloc_bytes)
 
 
-def _solve_range(rollouts: Sequence[FleetRollout], lo: int, hi: int,
-                 memo: Dict, arena: Optional[BatchArena]) -> _Solved:
-    """Plan, gather, price, and solve rollouts ``[lo, hi)`` into columns.
+def _solve_windows(population: _Population, chunk_size: int,
+                   arena: Optional[BatchArena],
+                   ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
+    """Plan, gather, price, and solve ``population`` through windows of
+    ``chunk_size`` rollouts.
 
-    ``memo`` is the caller's identity memo of
-    :func:`~repro.system.courses.lookup_course`, shared by every window
-    of one call so the course store is asked once per distinct world.
-
-    Returns ``(columns, batch_priced, scalar_fallback, alloc_bytes)``
-    where ``columns`` maps each :data:`_RESULT_COLUMNS` name to its
-    ``(hi - lo,)`` array.  With an arena the columns are **borrowed**
-    views — valid until the next kernel call on the same arena — so
-    callers must copy them (see :func:`_emit_fleet` and
-    :func:`_solve_windows`) before re-entering.
+    Returns ``(columns, batch_priced, scalar_fallback, alloc_bytes)``,
+    ``columns`` mapping each :data:`_RESULT_COLUMNS` name to an owned
+    ``(n,)`` array: arena columns are borrowed views, valid until the
+    next kernel call on the same arena, so each window's are copied out
+    before the next window reuses the arena.  Counts and byte totals
+    are summed over the windows, which share one identity memo of
+    :func:`~repro.system.courses.lookup_course`.
     """
-    ws = Workspace(arena, "fleet.")
-    if isinstance(rollouts, _StudyRollouts):
-        gathered, priced, fell_back = _gather_study(
-            rollouts, lo, hi, memo, ws, arena)
+    n = len(population)
+    tracer = get_tracer()
+    memo: Dict = {}
+    out: Dict[str, np.ndarray] = {}
+    batch_priced = scalar_fallback = alloc_bytes = 0
+    for lo in range(0, n, chunk_size):
+        hi = min(lo + chunk_size, n)
+        trials, rows = population.window(lo, hi)
+        ws = Workspace(arena, "fleet.")
+        with tracer.profile_span("fleet.plan", track="fleet") as span:
+            length, planned, reused = _plan(population, trials, rows,
+                                            memo, ws)
+            if tracer.enabled:
+                span.args = {"planned": planned, "reused": reused}
+        with tracer.profile_span("fleet.gather", track="fleet"):
+            gathered = _gather(population, trials, rows, ws)
+            gathered["length"] = length
+        with tracer.profile_span("fleet.price", track="fleet"):
+            gathered["compute_latency"], priced = _price(
+                population, trials, rows, ws, arena)
+        columns, nbytes = _solve_columns(gathered, ws)
+        if arena is None and hi - lo == n:
+            out = columns  # fresh arrays nothing else writes
+        else:
+            for name in _RESULT_COLUMNS:
+                if name not in out:
+                    out[name] = np.empty(n, dtype=columns[name].dtype)
+                out[name][lo:hi] = columns[name]
+        batch_priced += priced
+        scalar_fallback += hi - lo - priced
+        alloc_bytes += nbytes
+    return out, batch_priced, scalar_fallback, alloc_bytes
+
+
+def _plan(population: _Population, trials: slice, rows: slice,
+          memo: Dict, ws: Workspace) -> Tuple[np.ndarray, int, int]:
+    """The course-length column of a window, and how many courses it
+    ``planned`` and ``reused`` from the store.
+
+    A held course serves every config.  Otherwise each distinct config
+    of the window's trials, in first-appearance order, resolves its
+    course through ``memo``, so a run asks the store once per distinct
+    ``(world, start, goal, radius, laps)`` identity.
+    """
+    configs = population.configs
+    lengths = np.zeros(len(configs))
+    planned = reused = 0
+    if population.course is not None:
+        lengths.fill(population.course.total_length_m)
     else:
-        gathered, priced, fell_back = _gather_rollouts(
-            tuple(rollouts[lo:hi]), memo, ws, arena)
-    columns, alloc_bytes = _solve_columns(gathered, ws)
-    return columns, priced, fell_back, alloc_bytes
+        for index in (dict.fromkeys(population.config_of[trials].tolist())
+                      if len(configs) > 1 else (0,)):
+            course, fresh = lookup_course(configs[index], memo)
+            lengths[index] = course.total_length_m
+            if fresh is not None:
+                planned += fresh
+                reused += not fresh
+    count = len(population.config_of[trials])
+    length = ws.out("length", (count * population.width,))
+    np.copyto(length.reshape(count, -1),
+              population.per_trial(lengths, trials))
+    return length[rows], planned, reused
 
 
-def _gather_rollouts(rollouts: Tuple[FleetRollout, ...], memo: Dict,
-                     ws: Workspace, arena: Optional[BatchArena],
-                     ) -> Tuple[Dict[str, np.ndarray], int, int]:
-    """Plan, gather, and price a population of rollout objects.
+def _scaled(base, factor: Optional[np.ndarray], out: np.ndarray) -> None:
+    """``out = base * factor``, or ``base`` when there is no factor."""
+    if factor is None:
+        np.copyto(out, base)
+    else:
+        np.multiply(base, factor, out=out)
 
-    Returns the :data:`_GATHER_COLUMNS` plus ``compute_latency``, and
-    the batch-priced and scalar-fallback counts.
+
+def _gather(population: _Population, trials: slice = slice(None),
+            rows: slice = slice(None), ws: Optional[Workspace] = None,
+            ) -> Dict[str, np.ndarray]:
+    """The gather columns of a population window.
+
+    Returns every :data:`_GATHER_COLUMNS` entry except the course
+    ``length`` (see :func:`_plan`) as a column over the window's
+    ``rows`` (the whole population by default).  The window's
+    ``trials`` are gathered whole and cut to its rows, so windows need
+    not align with trials.  Each column evaluates the expressions
+    ``run_mission`` evaluates on the rollout's config, in the same
+    association order, so every value is bit-identical: a perturbed
+    trial's base value times its factor is what
+    :func:`_perturbed_population`'s ``replace`` computes.
+    ``hover_power`` is
+    :meth:`~repro.system.robot.UavPhysics.hover_power_column` (the
+    module docstring's ``x ** 1.5`` rule) over each run of trials that
+    share an airframe, in row order, so the first invalid mass raises
+    first.  Invalid factors raise what the ``replace`` path raises (see
+    :func:`_check_factors`).
     """
-    n = len(rollouts)
-    tracer = get_tracer()
-    with tracer.profile_span("fleet.plan", track="fleet") as span:
-        courses = []
-        planned = reused = 0
-        config = course = None
-        for rollout in rollouts:
-            # A study's tiers share each trial's config object.
-            if rollout.config is not config:
-                config = rollout.config
-                course, fresh = lookup_course(config, memo)
-                if fresh is not None:
-                    planned += fresh
-                    reused += not fresh
-            courses.append(course)
-        if tracer.enabled:
-            span.args = {"planned": planned, "reused": reused}
+    if ws is None:
+        ws = Workspace(None, "fleet.")
+    width = population.width
+    tables = population.tables()
+    count = len(population.config_of[trials])
+    cap = mass = rate = None
+    if population.factors is not None:
+        factors = population.factors[trials]
+        _check_factors(population.configs[0], population.tiers, factors)
+        cap, mass, rate = (factors[:, axis, None] for axis in range(3))
 
-    # Per-rollout scalar inputs, then hover power as one column per run
-    # of rollouts sharing an airframe (UavPhysics.hover_power_column:
-    # only its `x ** 1.5` stays a per-element CPython pow).  Runs go in
-    # rollout order, so the first invalid mass raises first.
-    with tracer.profile_span("fleet.gather", track="fleet"):
-        gathered = {name: ws.out(name, (n,)) for name in _GATHER_COLUMNS}
-        period = gathered["period"]
-        actuation = gathered["actuation"]
-        sensing_range = gathered["sensing_range"]
-        accel = gathered["accel"]
-        max_speed = gathered["max_speed"]
-        dt = gathered["dt"]
-        max_duration = gathered["max_duration"]
-        budget = gathered["budget"]
-        length = gathered["length"]
-        total_mass = gathered["total_mass"]
-        hover_power = gathered["hover_power"]
-        compute_power = gathered["compute_power"]
-        airframes = []  # (first rollout, uav) wherever the uav changes
-        uav = None
-        for i, (rollout, course) in enumerate(zip(rollouts, courses)):
-            config = rollout.config
-            if config.uav is not uav and config.uav != uav:
-                uav = config.uav
-                airframes.append((i, uav))
-            period[i] = 1.0 / config.sensor_rate_hz
-            actuation[i] = config.actuation_latency_s
-            sensing_range[i] = config.sensing_range_m
-            accel[i] = config.uav.max_accel_m_s2
-            max_speed[i] = config.uav.max_speed_m_s
-            dt[i] = config.time_step_s
-            max_duration[i] = config.max_duration_s
-            budget[i] = config.battery.usable_energy_j
-            length[i] = course.total_length_m
-            total_mass[i] = (config.uav.frame_mass_kg
-                             + config.battery.mass_kg
-                             + rollout.compute_mass_kg)
-            compute_power[i] = rollout.compute_power_w
-        for (lo, uav), (hi, _) in zip(airframes,
-                                      [*airframes[1:], (n, None)]):
-            uav.hover_power_column(total_mass[lo:hi],
-                                   out=hover_power[lo:hi])
+    def per_trial(name: str):
+        return population.per_trial(tables[name], trials)
 
-    # Frame-pipeline compute latency: one SoA pass over the population's
-    # deduplicated (platform, profile) block; scalar estimates only for
-    # platforms the kernel cannot reproduce.
-    with tracer.profile_span("fleet.price", track="fleet"):
-        compute_latency = gathered["compute_latency"] = ws.out(
-            "compute_latency", (n,))
-        verdicts = [is_soa_priceable(rollout.platform)
-                    for rollout in rollouts]
-        priceable = [i for i in range(n) if verdicts[i]]
-        fallback = [i for i in range(n) if not verdicts[i]]
-        if priceable:
-            platform_index: Dict[int, int] = {}
-            profile_index: Dict[int, int] = {}
-            platforms: List[Platform] = []
-            profiles: List = []
-            # Arena-backed gather indices: (row, col) into the priced
-            # block plus the destination rollout index, so the scatter
-            # below runs through reused buffers instead of allocating
-            # fresh fancy-index arrays every chunk.
-            k = len(priceable)
-            price_rows = ws.out("price_rows", (k,), np.intp)
-            price_cols = ws.out("price_cols", (k,), np.intp)
-            price_dest = ws.out("price_dest", (k,), np.intp)
-            for j, i in enumerate(priceable):
-                platform = rollouts[i].platform
-                row = platform_index.get(id(platform))
-                if row is None:
-                    row = platform_index[id(platform)] = len(platforms)
-                    platforms.append(platform)
-                profile = rollouts[i].config.frame_profile
-                col = profile_index.get(id(profile))
-                if col is None:
-                    col = profile_index[id(profile)] = len(profiles)
-                    profiles.append(profile)
-                price_rows[j] = row
-                price_cols[j] = col
-                price_dest[j] = i
-            cost = batch_estimate(
-                PlatformSoA.from_platforms(platforms),
-                ProfileSoA.from_profiles(profiles),
-                arena=arena)
-            # Flat gather from the contiguous (rows, cols) block:
-            # flat = row * n_profiles + col, taken through out= into a
-            # reused buffer, then scattered to the rollout order.
-            np.multiply(price_rows, len(profiles), out=price_rows)
-            np.add(price_rows, price_cols, out=price_rows)
-            price_latency = ws.out("price_latency", (k,))
-            np.take(cost.latency_s.ravel(), price_rows,
-                    out=price_latency)
-            compute_latency[price_dest] = price_latency
-        for i in fallback:
-            compute_latency[i] = rollouts[i].platform.estimate(
-                rollouts[i].config.frame_profile).latency_s
-    return gathered, len(priceable), len(fallback)
+    def per_tier(name: str) -> np.ndarray:
+        return population.per_tier(tables[name], trials)
+
+    columns = {name: ws.out(name, (count * width,))
+               for name in _GATHER_COLUMNS if name != "length"}
+    grid = {name: column.reshape(count, width)
+            for name, column in columns.items()}
+    # period = 1.0 / sensor_rate_hz, sensor_rate_hz = base rate * rate
+    _scaled(per_trial("rate"), rate, grid["period"])
+    np.divide(1.0, grid["period"], out=grid["period"])
+    for name in ("actuation", "sensing_range", "accel", "max_speed", "dt",
+                 "max_duration"):
+        grid[name][...] = per_trial(name)
+    # budget = usable_energy_j = (capacity_wh * cap) * 3600 * usable
+    budget = grid["budget"]
+    _scaled(per_trial("capacity"), cap, budget)
+    np.multiply(budget, 3600.0, out=budget)
+    np.multiply(budget, per_trial("usable"), out=budget)
+    # total_mass = (frame + battery) + module_mass * mass
+    total_mass = grid["total_mass"]
+    _scaled(per_tier("mass"), mass, total_mass)
+    np.add(per_trial("base_mass"), total_mass, out=total_mass)
+    grid["compute_power"][...] = per_tier("power")
+    airframe = np.ravel(per_trial("airframe"))
+    bounds = [0, *(np.flatnonzero(airframe[1:] != airframe[:-1])
+                   + 1).tolist(), count]
+    for first, last in zip(bounds, bounds[1:]):
+        run = slice(first * width, last * width)
+        tables["airframes"][airframe[first]].hover_power_column(
+            columns["total_mass"][run], out=columns["hover_power"][run])
+    return {name: column[rows] for name, column in columns.items()}
 
 
-def _gather_study(population: _StudyRollouts, lo: int, hi: int,
-                  memo: Dict, ws: Workspace, arena: Optional[BatchArena],
-                  ) -> Tuple[Dict[str, np.ndarray], int, int]:
-    """:func:`_gather_rollouts` for rollouts ``[lo, hi)`` of a study,
-    as columns straight from its factor matrix.
+def _price(population: _Population, trials: slice, rows: slice,
+           ws: Workspace, arena: Optional[BatchArena],
+           ) -> Tuple[np.ndarray, int]:
+    """Per-rollout compute latency of a window, and how many of its
+    rollouts the SoA pass priced.
 
-    The window's trial range is gathered and priced whole, then cut to
-    ``[lo, hi)`` — windows need not align with trials.  Every column
-    is value-identical to the rollout-object path (see
-    :func:`_study_columns` and :func:`_price_study`).
+    SoA-priceable platforms are priced in ONE
+    :func:`~repro.hw.batch.batch_estimate` call over the window's
+    distinct priceable platforms × its distinct (profile, workload
+    scale) columns: one column per distinct frame profile, at its own
+    counts, or under a factor matrix one per trial, the base profile's
+    counts scaled by the trial's workload scale — the values
+    ``scaled(scale)`` followed by ``total_bytes`` produce.  Other
+    platforms go through scalar ``estimate`` on the rollout's profile.
     """
-    config, tiers = population.config, population.tiers
-    width = len(tiers)
-    trial_lo, trial_hi = lo // width, -(-hi // width)
-    factors = population.factors[trial_lo:trial_hi]
-    window = slice(lo - trial_lo * width, hi - trial_lo * width)
-    tracer = get_tracer()
-    with tracer.profile_span("fleet.plan", track="fleet") as span:
-        # Perturbations never touch the planning inputs: every trial
-        # flies the base config's course.
-        course, fresh = lookup_course(config, memo)
-        if tracer.enabled:
-            span.args = {"planned": int(bool(fresh)),
-                         "reused": int(fresh is False)}
-    with tracer.profile_span("fleet.gather", track="fleet"):
-        gathered = {name: column[window] for name, column
-                    in _study_columns(config, tiers, factors, ws).items()}
-        gathered["length"] = ws.out("length", (hi - lo,))
-        gathered["length"].fill(course.total_length_m)
-    with tracer.profile_span("fleet.price", track="fleet"):
-        latency, priceable = _price_study(config, tiers, factors, ws,
-                                          arena)
-        gathered["compute_latency"] = latency[window]
-        priced = int(np.count_nonzero(
-            np.tile(priceable, len(factors))[window]))
-    return gathered, priced, hi - lo - priced
+    width = population.width
+    tables = population.tables()
+    config_of = population.config_of[trials]
+    count = len(config_of)
+    latency = ws.out("compute_latency", (count * width,))
+    grid = latency.reshape(count, width)
+    platform = population.per_tier(tables["platform"], trials)
+    priceable = tables["priceable"][platform]
+    if population.factors is None:
+        used, column = np.unique(tables["profile"][config_of],
+                                 return_inverse=True)
+        profiles = [tables["profiles"][i] for i in used.tolist()]
+        soa = ProfileSoA.from_profiles(profiles)
+    else:
+        scale = population.factors[trials, 3]
+        profile = tables["profiles"][0]
+        column = slice(None)  # trial t prices in column t
+        soa = ProfileSoA(
+            names=(profile.name,) * count,
+            flops=profile.flops * scale,
+            int_ops=profile.int_ops * scale,
+            total_bytes=(profile.bytes_read * scale
+                         + profile.bytes_written * scale),
+            working_set_bytes=np.full(count, profile.working_set_bytes),
+            parallel_fraction=np.full(count, profile.parallel_fraction),
+            derating=np.full(count,
+                             DIVERGENCE_DERATING[profile.divergence]))
+    platforms = tables["platforms"]
+    if priceable.any():
+        used = np.unique(platform[priceable])
+        row = np.zeros(len(platforms), dtype=np.intp)
+        row[used] = np.arange(len(used))
+        cost = batch_estimate(
+            PlatformSoA.from_platforms([platforms[i]
+                                        for i in used.tolist()]),
+            soa, arena=arena)
+        # Every cell, slot by slot; the scalar loop below overwrites the
+        # cells of platforms the SoA pass cannot price.
+        for slot in range(width):
+            grid[:, slot] = cost.latency_s[row[platform[:, slot]], column]
+    if priceable.all():
+        return latency[rows], rows.stop - rows.start
+    platform = np.broadcast_to(platform, grid.shape)
+    priceable = np.broadcast_to(priceable, grid.shape)
+    for trial in np.flatnonzero(~priceable.all(axis=1)).tolist():
+        flown = (profiles[column[trial]] if population.factors is None
+                 else profile.scaled(scale[trial]))
+        for slot in np.flatnonzero(~priceable[trial]).tolist():
+            grid[trial, slot] = platforms[platform[trial, slot]].estimate(
+                flown).latency_s
+    return latency[rows], int(np.count_nonzero(priceable.ravel()[rows]))
 
 
 def _solve_columns(gathered: Dict[str, np.ndarray], ws: Workspace,
                    ) -> Tuple[Dict[str, np.ndarray], int]:
     """The closed-form solve over gathered columns: the one copy of the
-    mission outcome math, fed by both gather paths.
+    mission outcome math.
 
     ``gathered`` holds the :data:`_GATHER_COLUMNS` plus
     ``compute_latency``.  Returns the :data:`_RESULT_COLUMNS` and the
@@ -843,7 +966,7 @@ def _solve_columns(gathered: Dict[str, np.ndarray], ws: Workspace,
     # FleetResult.alloc_bytes and, when a measure_allocations() scope
     # is active, on the global meter.  View nbytes ignores arena
     # capacity, so the value is identical with or without an arena —
-    # between whole and chunked runs, and between the two gather paths.
+    # between whole and chunked runs, studies and rollout lists.
     soa_arrays = (
         *(gathered[name] for name in _GATHER_COLUMNS), compute_latency,
         staleness, latency, raw_speed, safe_speed, total_power,
@@ -867,34 +990,6 @@ def _solve_columns(gathered: Dict[str, np.ndarray], ws: Workspace,
     return columns, alloc_bytes
 
 
-def _solve_windows(rollouts: Sequence[FleetRollout], chunk_size: int,
-                   arena: BatchArena) -> _Solved:
-    """:func:`_solve_range` through ``chunk_size``-rollout arena windows.
-
-    Each window's borrowed arena columns are copied into owned
-    ``(n,)`` result columns before the next window reuses the arena,
-    so the return value has :func:`_solve_range`'s shape but outlives
-    the arena.  Counts and byte totals are summed over the windows.
-    """
-    n = len(rollouts)
-    memo: Dict = {}
-    out: Dict[str, np.ndarray] = {}
-    batch_priced = scalar_fallback = alloc_bytes = 0
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        columns, priced, fell_back, nbytes = _solve_range(
-            rollouts, lo, hi, memo, arena)
-        for name in _RESULT_COLUMNS:
-            column = columns[name]
-            if name not in out:
-                out[name] = np.empty(n, dtype=column.dtype)
-            out[name][lo:hi] = column
-        batch_priced += priced
-        scalar_fallback += fell_back
-        alloc_bytes += nbytes
-    return out, batch_priced, scalar_fallback, alloc_bytes
-
-
 # -- Monte Carlo layer -------------------------------------------------
 
 def _perturbed_population(config: MissionConfig, tiers: Sequence[Tier],
@@ -904,7 +999,7 @@ def _perturbed_population(config: MissionConfig, tiers: Sequence[Tier],
     ``factors`` is the trial's ``(capacity, mass, rate, scale)`` row of
     the factor matrix.  The reference construction of a perturbed
     scenario: the study's rollout view builds its rows here, and
-    :func:`_study_columns` defers to it to raise validation errors.
+    :func:`_gather` defers to it to raise validation errors.
     """
     cap, mass, rate, scale = factors
     perturbed = replace(
@@ -946,112 +1041,6 @@ def _check_factors(config: MissionConfig, tiers: Sequence[Tier],
         suspect |= config.sensor_rate_hz * rate <= 0
     for trial in [0, *np.flatnonzero(suspect).tolist()]:
         _perturbed_population(config, tiers, factors[trial])
-
-
-def _study_columns(config: MissionConfig, tiers: Sequence[Tier],
-                   factors: np.ndarray, ws: Optional[Workspace] = None,
-                   ) -> Dict[str, np.ndarray]:
-    """The gather columns of a study population, from its factor matrix.
-
-    Returns every :data:`_GATHER_COLUMNS` entry except the course
-    ``length`` as an ``(trials * T,)`` column in trial-major order
-    (rollout ``i`` is trial ``i // T`` on tier ``i % T``).  Each column
-    evaluates the expressions the rollout-object gather evaluates on
-    :func:`_perturbed_population`'s rows, in the same association
-    order, so every value is bit-identical; ``hover_power`` is
-    :meth:`~repro.system.robot.UavPhysics.hover_power_column` (the
-    module docstring's ``x ** 1.5`` rule).
-    Invalid factors raise what the ``replace`` path raises (see
-    :func:`_check_factors`).
-    """
-    factors = np.asarray(factors, dtype=float)
-    _check_factors(config, tiers, factors)
-    if ws is None:
-        ws = Workspace(None, "fleet.")
-    trials, width = len(factors), len(tiers)
-    columns = {name: ws.out(name, (trials * width,))
-               for name in _GATHER_COLUMNS if name != "length"}
-    grid = {name: column.reshape(trials, width)
-            for name, column in columns.items()}
-    cap, mass, rate = (factors[:, axis, None] for axis in range(3))
-    uav, battery = config.uav, config.battery
-    # period = 1.0 / sensor_rate_hz, sensor_rate_hz = base rate * rate
-    np.multiply(config.sensor_rate_hz, rate, out=grid["period"])
-    np.divide(1.0, grid["period"], out=grid["period"])
-    for name, value in (("actuation", config.actuation_latency_s),
-                        ("sensing_range", config.sensing_range_m),
-                        ("accel", uav.max_accel_m_s2),
-                        ("max_speed", uav.max_speed_m_s),
-                        ("dt", config.time_step_s),
-                        ("max_duration", config.max_duration_s)):
-        columns[name].fill(value)
-    # budget = usable_energy_j = (capacity_wh * cap) * 3600 * usable
-    budget = grid["budget"]
-    np.multiply(battery.capacity_wh, cap, out=budget)
-    np.multiply(budget, 3600.0, out=budget)
-    np.multiply(budget, battery.usable_fraction, out=budget)
-    # total_mass = (frame + battery) + module_mass * mass
-    total_mass = grid["total_mass"]
-    np.multiply([module_mass for _, _, module_mass, _ in tiers], mass,
-                out=total_mass)
-    np.add(uav.frame_mass_kg + battery.mass_kg, total_mass,
-           out=total_mass)
-    uav.hover_power_column(columns["total_mass"],
-                           out=columns["hover_power"])
-    grid["compute_power"][:] = [power for _, _, _, power in tiers]
-    return columns
-
-
-def _price_study(config: MissionConfig, tiers: Sequence[Tier],
-                 factors: np.ndarray, ws: Workspace,
-                 arena: Optional[BatchArena],
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-rollout compute latency of a study population, trial-major.
-
-    SoA-priceable tiers are priced in ONE
-    :func:`~repro.hw.batch.batch_estimate` call over (distinct priceable
-    platforms) × (trials), whose profile columns are the base profile's
-    columns scaled by the trial's workload scale — the values
-    ``scaled(scale)`` followed by ``total_bytes`` produce.  Other tiers
-    go through scalar ``estimate`` on each trial's scaled profile.
-
-    Returns ``(latency, priceable)``: the ``(trials * T,)`` latency
-    column and the ``(T,)`` per-tier SoA verdicts.
-    """
-    trials, width = len(factors), len(tiers)
-    latency = ws.out("compute_latency", (trials * width,))
-    grid = latency.reshape(trials, width)
-    scale = factors[:, 3]
-    priceable = np.array([is_soa_priceable(platform)
-                          for _, platform, _, _ in tiers], dtype=bool)
-    platforms: List[Platform] = list({
-        id(tiers[tier][1]): tiers[tier][1]
-        for tier in np.flatnonzero(priceable).tolist()}.values())
-    rows = {id(platform): row for row, platform in enumerate(platforms)}
-    if platforms:
-        profile = config.frame_profile
-        profiles = ProfileSoA(
-            names=(profile.name,) * trials,
-            flops=profile.flops * scale,
-            int_ops=profile.int_ops * scale,
-            total_bytes=(profile.bytes_read * scale
-                         + profile.bytes_written * scale),
-            working_set_bytes=np.full(trials, profile.working_set_bytes),
-            parallel_fraction=np.full(trials, profile.parallel_fraction),
-            derating=np.full(trials,
-                             DIVERGENCE_DERATING[profile.divergence]))
-        cost = batch_estimate(PlatformSoA.from_platforms(platforms),
-                              profiles, arena=arena)
-        for tier in np.flatnonzero(priceable).tolist():
-            grid[:, tier] = cost.latency_s[rows[id(tiers[tier][1])]]
-    fallback = np.flatnonzero(~priceable).tolist()
-    if fallback:
-        for trial, factor in enumerate(scale):
-            profile = config.frame_profile.scaled(factor)
-            for tier in fallback:
-                grid[trial, tier] = tiers[tier][1].estimate(
-                    profile).latency_s
-    return latency, priceable
 
 
 @dataclass(frozen=True)
@@ -1204,19 +1193,16 @@ class FleetStudy:
         :func:`run_fleet` reads the view as columns and builds no
         rollout at all.
         """
-        return _StudyRollouts(self.config, tuple(self.tiers),
-                              self.factors())
+        return _Population.study(self.config, self.tiers, self.factors())
 
     def run(self, *, jobs: int = 1,
             metrics: Optional[MetricsRegistry] = None,
             chunk_size: Optional[int] = None) -> FleetStudyResult:
         """Evaluate the study population and summarize per tier.
 
-        The population goes to :func:`run_fleet` as the
-        :meth:`rollouts` view, so it is gathered and priced as columns
-        from the factor matrix; the summary reads the result columns.
-        The returned ``fleet`` builds rollout and result rows only when
-        they are read.
+        The :meth:`rollouts` view goes to :func:`run_fleet` as is, and
+        the summary reads the result columns.  The returned ``fleet``
+        builds rollout and result rows only when they are read.
 
         Args:
             jobs: Kept so ``jobs=1`` callers keep working; any other

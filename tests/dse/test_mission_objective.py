@@ -141,3 +141,34 @@ class TestSearchIntegration:
         assert all(r.cached for r in results)
         assert batch_eval.stats()["oracle_calls"] == 0
         assert batch_eval.stats()["batch_hits"] == 0
+
+
+class TestHeldCourse:
+    """Both paths fly the course the setting holds: the batch path
+    neither re-resolves it through the course store nor diverges from
+    the scalar path after the world is edited in place."""
+
+    def test_batch_equals_scalar_after_in_place_world_edit(self):
+        objective = MissionObjective(mission_setting(
+            seed=17, extent=50.0, n_obstacles=40))
+        world = objective._setting()[0].world
+        world.centers[:] = world.centers[::-1] + 0.5
+        configs = _sample_configs(37)
+        assert objective.evaluate_batch(configs) == \
+            [objective(config) for config in configs]
+
+    def test_warm_batch_computes_no_content_key(self, monkeypatch):
+        from repro.system import courses
+
+        configs = _sample_configs(37)
+        mission_objective.evaluate_batch(configs)
+        keys = []
+        content_key = courses._content_key
+
+        def counted(config):
+            keys.append(None)
+            return content_key(config)
+
+        monkeypatch.setattr(courses, "_content_key", counted)
+        mission_objective.evaluate_batch(configs)
+        assert keys == []

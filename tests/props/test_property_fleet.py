@@ -20,7 +20,7 @@ example.
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.batch import is_soa_priceable
@@ -29,6 +29,7 @@ from repro.hw.platform import AnalyticalPlatform, PlatformConfig
 from repro.kernels.planning import CircleWorld
 from repro.system.fleet import FleetRollout, ensure_course, run_fleet
 from repro.system.mission import MissionConfig, run_mission
+from repro.telemetry import Tracer, use_tracer
 
 _WORLD = CircleWorld.random(dim=2, n_obstacles=12, extent=30.0,
                             radius_range=(1.0, 2.0), seed=9,
@@ -142,3 +143,75 @@ def test_mixed_population_equals_scalar(params):
             course=ensure_course(rollout.config, _COURSES))
         assert batch == scalar
     assert fleet.batch_priced + fleet.scalar_fallback == len(rollouts)
+
+
+_HEAVY_UAV = dataclasses.replace(_BASE.uav, rotor_disk_area_m2=0.05,
+                                 avionics_power_w=7.0)
+_PICK = st.tuples(st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=0, max_value=len(_MODULES) - 1),
+                  st.floats(min_value=0.5, max_value=2.0, allow_nan=False))
+_A = {"capacity_wh": 5.0, "max_duration_s": 60.0, "time_step_s": 0.05,
+      "sensor_rate_hz": 30.0, "workload_scale": 1.0, "mass_factor": 1.0,
+      "laps": 1, "module": 0}
+_B = dict(_A, capacity_wh=50.0, laps=2)
+
+
+def _plan_identities(tracer):
+    return sum(span.args["planned"] + span.args["reused"]
+               for span in tracer.spans if span.name == "fleet.plan")
+
+
+@given(scenarios=st.lists(_scenario, min_size=1, max_size=3),
+       variants=st.lists(st.sampled_from(["base", "heavy", "start"]),
+                         min_size=3, max_size=3),
+       picks=st.lists(_PICK, min_size=1, max_size=12),
+       chunk_size=st.integers(min_value=1, max_value=13))
+@example(scenarios=[_A, _B], variants=["base", "heavy", "base"],
+         picks=[(0, 0, 1.0), (1, len(_MODULES) - 1, 1.0), (0, 2, 1.5),
+                (1, 0, 0.5)], chunk_size=3)
+@settings(max_examples=40, deadline=None)
+def test_rollout_list_adapter(scenarios, variants, picks, chunk_size):
+    """A rollout list is adapted once into the engine's population
+    form: configs repeated out of order, shared and scalar-fallback
+    platforms and mixed airframes fly exactly as ``run_mission``, at
+    any ``chunk_size``, and the plan asks the course store once per
+    distinct ``(world, start, goal, radius, laps)`` identity."""
+    configs = []
+    for params, variant in zip(scenarios, variants):
+        config = _config_for(params)
+        if variant == "heavy":
+            config = dataclasses.replace(config, uav=_HEAVY_UAV)
+        elif variant == "start":
+            # An equal start array the identity memo tells apart.
+            config = dataclasses.replace(config, start=_BASE.start.copy())
+        configs.append(config)
+    rollouts = []
+    for i, (which, module, mass_factor) in enumerate(picks):
+        platform, mass, power = _MODULES[module]
+        rollouts.append(FleetRollout(
+            name=f"prop-{i}", config=configs[which % len(configs)],
+            platform=platform, compute_mass_kg=mass * mass_factor,
+            compute_power_w=power))
+    identities = {(id(r.config.world), id(r.config.start),
+                   id(r.config.goal), r.config.robot_radius_m,
+                   r.config.laps) for r in rollouts}
+    runs = []
+    for size in (None, chunk_size):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            runs.append(run_fleet(rollouts, chunk_size=size))
+        assert _plan_identities(tracer) == len(identities)
+    whole, chunked = runs
+    assert chunked.results == whole.results
+    assert (chunked.batch_priced, chunked.scalar_fallback,
+            chunked.alloc_bytes) == (whole.batch_priced,
+                                     whole.scalar_fallback,
+                                     whole.alloc_bytes)
+    assert whole.scalar_fallback == sum(
+        not is_soa_priceable(r.platform) for r in rollouts)
+    for rollout, batch in zip(rollouts, whole.results):
+        scalar = run_mission(
+            rollout.config, rollout.platform, rollout.compute_mass_kg,
+            rollout.compute_power_w,
+            course=ensure_course(rollout.config, _COURSES))
+        assert batch == scalar

@@ -25,8 +25,9 @@ from repro.kernels.planning import CircleWorld
 from repro.system.fleet import (
     FleetPerturbation,
     FleetStudy,
+    _gather,
     _perturbed_population,
-    _study_columns,
+    _Population,
     run_fleet,
     tier_rollouts,
 )
@@ -306,8 +307,8 @@ class TestBuilderValidation:
         factors = np.array(rows)
         assert _raised(lambda: _replace_path(config, tiers, factors)) \
             is expected
-        assert _raised(lambda: _study_columns(config, tiers, factors)) \
-            is expected
+        assert _raised(lambda: _gather(
+            _Population.study(config, tiers, factors))) is expected
         assert _raised(lambda: [_perturbed_population(config, tiers, row)
                                 for row in factors]) is expected
 
@@ -330,8 +331,9 @@ class TestBuilderValidation:
                 + module_mass * factors[bad, 1])
         with pytest.raises(ConfigurationError) as scalar:
             config.uav.hover_power_w(mass)
-        view = fleet_module._StudyRollouts(config, ladder, factors)
-        for gather in (lambda: _study_columns(config, ladder, factors),
+        view = fleet_module._Population.study(config, ladder, factors)
+        for gather in (lambda: _gather(
+                           _Population.study(config, ladder, factors)),
                        lambda: run_fleet(view),
                        lambda: run_fleet(list(view))):
             with pytest.raises(ConfigurationError) as raised:
@@ -343,7 +345,7 @@ class TestBuilderValidation:
     def test_nan_mass_row_flies_nan_on_both_gathers(self, config, tiers):
         factors = np.array([[1.0, 1.0, 1.0, 1.0],
                             [1.0, math.nan, 1.0, 1.0]])
-        view = fleet_module._StudyRollouts(config, tuple(tiers), factors)
+        view = fleet_module._Population.study(config, tuple(tiers), factors)
         columns = run_fleet(view).results.columns
         reference = run_fleet(list(view)).results.columns
         for name in fleet_module._RESULT_COLUMNS:
@@ -374,7 +376,7 @@ class TestBuilderValidation:
     def test_columns_match_rollout_gather(self, config, tiers):
         factors = FleetStudy(config=config, tiers=tiers, trials=3,
                              seed=0).factors()
-        columns = _study_columns(config, tiers, factors)
+        columns = _gather(_Population.study(config, tiers, factors))
         rollouts = [rollout for row in factors
                     for rollout in _perturbed_population(config, tiers,
                                                          row)]

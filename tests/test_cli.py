@@ -299,3 +299,31 @@ class TestTraceCommand:
     def test_unknown_workload_exits_nonzero(self, tmp_path, capsys):
         assert main(["trace", "pipeline", "--workload", "nope",
                      "--out", str(tmp_path / "t.json")]) == 2
+
+
+class TestExitCodes:
+    """Bad input has one exit path: ``main`` returns the code argparse
+    would have exited with, and ``python -m repro`` exits with it."""
+
+    def test_unknown_option_returns_2(self, capsys):
+        assert main(["fleet", "--bogus"]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_bad_option_value_returns_2(self, capsys):
+        assert main(["dse", "--budget", "x"]) == 2
+        assert "--budget" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_module_exit_codes(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for argv, code in ((["fleet", "--bogus"], 2), (["--help"], 0)):
+            done = subprocess.run([sys.executable, "-m", "repro", *argv],
+                                  capture_output=True, env=env)
+            assert done.returncode == code, argv
